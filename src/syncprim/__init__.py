@@ -3,6 +3,8 @@ sync-maximality, strong sync-maximality) and analyze synchronizing
 automata (reset words, the synchronizing language and its minimal DFA,
 complete reachability, subset distinguishability)."""
 
+__version__ = "0.1.0"
+
 from .automaton import (
     SemiAutomaton,
     SubsetAutomaton,
@@ -20,8 +22,6 @@ from .automaton import (
 from .classify import condition, is_strongly_sync_maximal, is_sync_maximal
 from .group import BlockSystem, GroupSpec, is_primitive, is_transitive
 from .perm import Transformation, compose, idempotent_power, rank
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BlockSystem",

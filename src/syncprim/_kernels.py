@@ -85,7 +85,7 @@ def reset_word_bfs(letters, n):
     if n == 1:
         return np.empty(0, np.int32)
     prev = np.full(size, -1, np.int32)
-    prev_letter = np.full(size, -1, np.int8)
+    prev_letter = np.full(size, -1, np.int32)
     visited = np.zeros(size, np.uint8)
     queue = np.empty(size, np.int64)
     queue[0] = full

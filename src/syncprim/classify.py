@@ -11,6 +11,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import automaton as am
@@ -23,7 +25,8 @@ MODE_IDEMPOTENTS = "idempotents_only"
 MODE_ALL = "all_rank_n_minus_1"
 MODES = (MODE_IDEMPOTENTS, MODE_ALL)
 
-# Full n^n scans stay tractable up to here.
+# The strong scan walks all maps of rank 2..n-1 and checks one per G x G
+# orbit; up to here that stays tractable.
 STRONG_SCAN_CAP = 7
 
 _CHUNK = 64
@@ -77,67 +80,125 @@ def family(G: GroupSpec, mode: str) -> Iterator[Transformation]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _strong_family(n: int) -> Iterator[Transformation]:
+    """All maps on [n] of rank 2..n-1, by rank, each rank lexicographic."""
+    for r in range(2, n):
+        yield from perm.enumerate_maps_of_rank(n, r)
+
+
+def _orbit(G: GroupSpec, start: tuple[int, ...], conjugate: bool) -> set[tuple[int, ...]]:
+    """The image arrays reachable from start by generator moves.
+
+    Without conjugate the moves are f -> s o f and f -> f o s for each
+    generator s.  They preserve rank, and since G is finite they generate
+    all of G x G, so on a family of all maps of some ranks they reach the
+    whole orbit {g f h : g, h in G}.
+
+    With conjugate the move is f -> s^-1 o f o s, for the family of
+    idempotents of rank n-1.  Left and right moves would walk the whole
+    G x G orbit, up to |G|^2 maps mostly outside that family; conjugation
+    stays inside it and still reaches the orbit's part of it, because
+    G x G orbits meet the family in conjugation orbits: let e send a to
+    b and fix the rest, and let e' = g e h be another such idempotent.  The
+    image of e' is g([n] - {a}), so e' moves g(a) and fixes every other
+    point.  Its one kernel class of size 2 is h^-1{a, b}, which e' sends to
+    g(b); that class holds g(a) and the fixed point e'(g(a)), so e' sends
+    g(a) to g(b), i.e. e' = g e g^-1.  The conjugates of e are the maps
+    sending g(a) to g(b), one per pair in the orbital of (a, b), and
+    conjugation by the generators reaches them all."""
+    moves = []
+    for s in G.generators:
+        if conjugate:
+            inv = perm.inverse(s).image.__getitem__
+            moves.append(lambda t, s=s.image, inv=inv: tuple(map(inv, map(t.__getitem__, s))))
+        else:
+            moves.append(lambda t, left=s.image.__getitem__: tuple(map(left, t)))
+            moves.append(lambda t, s=s.image: tuple(map(t.__getitem__, s)))
+    seen = {start}
+    stack = [start]
+    while stack:
+        t = stack.pop()
+        for move in moves:
+            u = move(t)
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
 def _scan(
+    G: GroupSpec,
     maps: Iterable[Transformation],
     check: Callable[[Transformation], tuple[bool, Optional[dict]]],
     threads: int = 1,
     full_scan: bool = False,
+    conjugate: bool = False,
 ) -> tuple[bool, Optional[dict], int]:
-    """Run check over the family; first counterexample in enumeration order wins.
+    """Run check over one map per G x G orbit of the family; the first
+    counterexample in enumeration order wins.
 
-    Deterministic regardless of thread count: work is chunked in order and
-    the failure with the smallest index is reported, with scanned equal to
-    that index + 1 (or the family size when all pass).  full_scan disables
-    the early stop but keeps the same result."""
-    scanned = 0
-    first_fail: Optional[tuple[int, Transformation, Optional[dict]]] = None
+    Every predicate depends only on the monoid <G, f>, and <G, f> =
+    <G, g f h> for g, h in G, so check gives the same verdict on a whole
+    orbit.  The scan walks the family in enumeration order and checks a
+    map only if no earlier checked map's orbit (see _orbit) covered it.
+    The first failing map is the first of its orbit, so it is always
+    checked: the witness is the one a map-by-map scan finds, and scanned
+    is that map's index + 1, or the family size when all pass.  full_scan
+    disables the early stop but keeps the same result, with scanned equal
+    to the family size.
 
-    def run_chunk(chunk):
-        return [check(f) for f in chunk]
+    The stream of checked maps does not depend on check results, so the
+    one-thread and thread-pool paths check the same maps and report the
+    same bytes: work is chunked in order and the failure with the smallest
+    index is reported."""
+    n = G.degree
+    weights = [n ** (n - 1 - i) for i in range(n)]
+    size = 0
 
-    if threads <= 1:
+    def representatives():
+        nonlocal size
+        # base-n codes of maps covered but not met yet; each map is met
+        # once, so a code leaves the set when its map comes up
+        covered: set[int] = set()
         for i, f in enumerate(maps):
-            scanned += 1
-            ok, extra = check(f)
-            if not ok and first_fail is None:
-                first_fail = (i, f, extra)
+            size = i + 1
+            code = sum(map(mul, f.image, weights))
+            if code in covered:
+                covered.remove(code)
+                continue
+            yield i, f
+            orbit = _orbit(G, f.image, conjugate)
+            orbit.remove(f.image)
+            covered.update(sum(map(mul, t, weights)) for t in orbit)
+
+    def first_failure(outcomes):
+        found = None
+        for i, f, (ok, extra) in outcomes:
+            if not ok and found is None:
+                found = (i, f, extra)
                 if not full_scan:
                     break
+        return found
+
+    reps = representatives()
+    if threads <= 1:
+        first_fail = first_failure((i, f, check(f)) for i, f in reps)
     else:
-        chunks = []
-        chunk: list[Transformation] = []
-        for f in maps:
-            chunk.append(f)
-            if len(chunk) == _CHUNK:
-                chunks.append(chunk)
-                chunk = []
-        if chunk:
-            chunks.append(chunk)
-        total = sum(len(c) for c in chunks)
+        chunks = list(iter(lambda: list(islice(reps, _CHUNK)), []))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            base = 0
-            pending = [(c, pool.submit(run_chunk, c)) for c in chunks]
-            for c, fut in pending:
-                results = fut.result()
-                if first_fail is None:
-                    for j, (ok, extra) in enumerate(results):
-                        if not ok:
-                            first_fail = (base + j, c[j], extra)
-                            break
-                base += len(c)
-        # scanned is normalized so the report is thread-count independent,
-        # even though whole chunks past the failure may have been computed
-        if first_fail is not None and not full_scan:
-            scanned = first_fail[0] + 1
-        else:
-            scanned = total
+            results = pool.map(lambda chunk: [check(f) for _, f in chunk], chunks)
+            first_fail = first_failure(
+                (i, f, res)
+                for chunk, chunk_results in zip(chunks, results)
+                for (i, f), res in zip(chunk, chunk_results)
+            )
     if first_fail is None:
-        return True, None, scanned
-    _, f, extra = first_fail
+        return True, None, size
+    i, f, extra = first_fail
     witness = {"f": perm.format_image(f)}
     if extra:
         witness.update(extra)
-    return False, witness, scanned
+    return False, witness, size if full_scan else i + 1
 
 
 def _timed(func):
@@ -156,16 +217,23 @@ def is_sync_maximal(
         n = G.degree
         if n > am.SUBSET_CAP:
             return PredicateResult(None, reason=f"degree {n} exceeds power-set cap")
-        target = (1 << n) - n
-
-        def check(f):
-            count = am.minimal_syn_dfa(am.build_group_automaton(G, f)).state_count
-            return count == target, None if count == target else {"state_count": count}
-
-        ok, witness, scanned = _scan(family(G, mode), check, threads, full_scan)
+        ok, witness, scanned = _scan(
+            G, family(G, mode), _sync_maximal_check(G), threads, full_scan,
+            conjugate=mode == MODE_IDEMPOTENTS,
+        )
         return PredicateResult(ok, witness, scanned)
 
     return _timed(run)
+
+
+def _sync_maximal_check(G: GroupSpec) -> Callable[[Transformation], tuple[bool, Optional[dict]]]:
+    target = (1 << G.degree) - G.degree
+
+    def check(f):
+        count = am.minimal_syn_dfa(am.build_group_automaton(G, f)).state_count
+        return count == target, None if count == target else {"state_count": count}
+
+    return check
 
 
 def _condition_check(G: GroupSpec, index: int) -> Callable[[Transformation], tuple[bool, Optional[dict]]]:
@@ -225,7 +293,10 @@ def condition(
             return PredicateResult(prim, witness)
         if index in (2, 4, 5) and G.degree > am.SUBSET_CAP:
             return PredicateResult(None, reason=f"degree {G.degree} exceeds power-set cap")
-        ok, witness, scanned = _scan(family(G, mode), _condition_check(G, index), threads, full_scan)
+        ok, witness, scanned = _scan(
+            G, family(G, mode), _condition_check(G, index), threads, full_scan,
+            conjugate=mode == MODE_IDEMPOTENTS,
+        )
         return PredicateResult(ok, witness, scanned)
 
     return _timed(run)
@@ -242,15 +313,10 @@ def is_strongly_sync_maximal(G: GroupSpec, threads: int = 1, full_scan: bool = F
                 None, reason=f"full map scan infeasible: {n}^{n} = {n**n} maps"
             )
 
-        def maps():
-            for r in range(2, n):
-                yield from perm.enumerate_maps_of_rank(n, r)
-
-        def check(f):
-            ok, pair = am.all_2subsets_distinguishable(am.build_group_automaton(G, f))
-            return ok, None if ok else {"pair": [am.set_to_str(s) for s in pair]}
-
-        ok, witness, scanned = _scan(maps(), check, threads, full_scan)
+        # condition 3's check, over all ranks 2..n-1
+        ok, witness, scanned = _scan(
+            G, _strong_family(n), _condition_check(G, 3), threads, full_scan
+        )
         return PredicateResult(ok, witness, scanned)
 
     return _timed(run)

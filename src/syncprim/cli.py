@@ -66,9 +66,9 @@ def _parse_degrees(spec: str) -> range:
 
 def _cmd_search(args) -> int:
     degrees = _parse_degrees(args.degrees)
-    skip = None
-    if args.out and args.resume:
-        skip = harness.completed_names(args.out)
+    if args.resume and not args.out:
+        raise ParseError("--resume needs --out, the records file to resume")
+    skip = harness.completed_names(args.out) if args.resume else None
     records = harness.search_strongly_sync_maximal(degrees, threads=args.threads, skip_names=skip)
     if args.out:
         count = harness.write_records(records, args.out, timings=args.timings)
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for strongly-sync-maximal separations")
     p.add_argument("--degrees", required=True, help="degree range, e.g. 3..5")
     p.add_argument("--resume", action="store_true", help="skip entries already in --out")
-    p.add_argument("--seed", type=int, default=0, help="seed for any random sampling")
     common(p)
     p.set_defaults(func=_cmd_search)
 
@@ -167,6 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ParseError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (ParseError, am.DegreeCapError, gr.GroupTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from . import __version__
 from . import classify as cl
 from . import group as gr
 from .automaton import SemiAutomaton
@@ -15,8 +16,6 @@ from .catalog import CatalogEntry, builtin_catalog, subgroup_census_s4
 from .classify import MODE_ALL, MODE_IDEMPOTENTS
 from .perm import Transformation
 from .rng import SplitMix64
-
-VERSION = "0.1.0"
 
 
 @dataclass
@@ -133,7 +132,7 @@ class ExperimentRecord:
     def to_dict(self, timings: bool = False) -> dict:
         out = {
             "schema": "syncprim-record/1",
-            "version": VERSION,
+            "version": __version__,
             "name": self.name,
             "four_transitive": self.k_transitive_4,
             "report": self.report.to_dict(timings),
@@ -196,10 +195,28 @@ def random_instances(
         yield random_automaton(rng, n, k)
 
 
+def _intact_lines(path: str) -> tuple[list[bytes], int]:
+    """The newline-terminated lines of a records file and their length in
+    bytes.  write_records ends every record with a newline, so a final
+    line without one was cut short by a killed run and is not a record."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return [], 0
+    end = data.rfind(b"\n") + 1
+    return data[:end].splitlines(), end
+
+
 def write_records(records, path: str, timings: bool = False) -> int:
-    """Append experiment records as line-delimited JSON; returns the count."""
+    """Append experiment records as line-delimited JSON; returns the count.
+
+    A final line cut short by a killed run is truncated first, so the next
+    record starts on a line of its own."""
+    _, end = _intact_lines(path)
     count = 0
     with open(path, "a", encoding="utf-8") as fh:
+        fh.truncate(end)
         for rec in records:
             fh.write(json.dumps(rec.to_dict(timings), sort_keys=True) + "\n")
             count += 1
@@ -207,13 +224,7 @@ def write_records(records, path: str, timings: bool = False) -> int:
 
 
 def completed_names(path: str) -> set[str]:
-    names = set()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    names.add(json.loads(line)["name"])
-    except FileNotFoundError:
-        pass
-    return names
+    """Names of the records in a records file, ignoring a final line cut
+    short by a killed run."""
+    lines, _ = _intact_lines(path)
+    return {json.loads(line)["name"] for line in lines if line.strip()}

@@ -123,6 +123,11 @@ class TestShortestResetWord:
         A = SemiAutomaton(3, (t(1, 1, 1), t(2, 2, 2)))
         assert am.shortest_reset_word(A) == [0]
 
+    def test_letter_index_above_int8(self):
+        # 199 identity letters, then the one merging letter
+        A = SemiAutomaton(2, (perm.identity(2),) * 199 + (t(0, 0),))
+        assert am.shortest_reset_word(A) == [199]
+
 
 class TestSubsetAutomaton:
     def test_permutations_only(self):

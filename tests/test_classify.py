@@ -1,4 +1,8 @@
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncprim import automaton as am, catalog, classify as cl, group as gr, perm
 from syncprim.classify import MODE_ALL, MODE_IDEMPOTENTS
@@ -43,12 +47,16 @@ class TestIsSyncMaximal:
             assert a == b, entry.name
 
     def test_thread_count_invariance(self):
-        for G in (catalog.cyclic(4), catalog.cyclic(5)):
-            single = cl.is_sync_maximal(G, MODE_IDEMPOTENTS, threads=1)
-            multi = cl.is_sync_maximal(G, MODE_IDEMPOTENTS, threads=4)
-            assert single.value == multi.value
-            assert single.witness == multi.witness
-            assert single.scanned == multi.scanned
+        for G in (catalog.cyclic(4), catalog.cyclic(5), catalog.dihedral(6)):
+            for predicate in (
+                lambda threads: cl.is_sync_maximal(G, MODE_IDEMPOTENTS, threads=threads),
+                lambda threads: cl.condition(G, 4, MODE_ALL, threads=threads),
+                lambda threads: cl.is_strongly_sync_maximal(G, threads=threads),
+            ):
+                single, multi = predicate(1), predicate(4)
+                assert single.value == multi.value
+                assert single.witness == multi.witness
+                assert single.scanned == multi.scanned
 
 
 class TestConditions:
@@ -195,3 +203,122 @@ class TestClassify:
         )
         assert report.predicates["strongly_sync_maximal"].value is None
         assert report.predicates["strongly_sync_maximal"].reason
+
+
+def _map_by_map(maps, check):
+    """The oracle for the orbit scan: check every map in enumeration order
+    and stop at the first failure."""
+    scanned = 0
+    for scanned, f in enumerate(maps, 1):
+        ok, extra = check(f)
+        if not ok:
+            witness = {"f": perm.format_image(f)}
+            witness.update(extra or {})
+            return False, witness, scanned
+    return True, None, scanned
+
+
+def _scan_and_oracle(G, predicate, mode):
+    if predicate == "strong":
+        res = cl.is_strongly_sync_maximal(G)
+        maps, check = cl._strong_family(G.degree), cl._condition_check(G, 3)
+    elif predicate == "sync_maximal":
+        res = cl.is_sync_maximal(G, mode)
+        maps, check = cl.family(G, mode), cl._sync_maximal_check(G)
+    else:
+        res = cl.condition(G, predicate, mode)
+        maps, check = cl.family(G, mode), cl._condition_check(G, predicate)
+    return (res.value, res.witness, res.scanned), _map_by_map(maps, check)
+
+
+def _oracle_entries(max_degree, degree_6_imprimitive=False):
+    """Catalog entries up to max_degree plus the S4 census; optionally the
+    degree-6 imprimitive entries, whose scans fail within a few maps."""
+    entries = catalog.builtin_catalog(max_degree) + catalog.subgroup_census_s4()
+    if degree_6_imprimitive:
+        entries += [
+            e for e in catalog.builtin_catalog(6)
+            if e.degree == 6 and not gr.is_primitive(e.group)[0]
+        ]
+    return entries
+
+
+class TestOrbitScan:
+    """The orbit scan against a map-by-map scan of the whole family: the
+    same value, witness and scanned count for every predicate."""
+
+    @pytest.mark.parametrize("predicate", ["sync_maximal", 2, 3, 4, 5, 6])
+    def test_idempotents_match_map_by_map(self, predicate):
+        for entry in _oracle_entries(6):
+            got, want = _scan_and_oracle(entry.group, predicate, MODE_IDEMPOTENTS)
+            assert got == want, entry.name
+
+    @pytest.mark.parametrize("predicate", ["sync_maximal", 2, 3, 4, 5, 6])
+    def test_all_rank_n_minus_1_match_map_by_map(self, predicate):
+        # the primitive degree-6 groups pass all 10 800 maps; a map-by-map
+        # scan of them is left out for time
+        for entry in _oracle_entries(5, degree_6_imprimitive=True):
+            got, want = _scan_and_oracle(entry.group, predicate, MODE_ALL)
+            assert got == want, entry.name
+
+    def test_strong_matches_map_by_map(self):
+        # the primitive degree-6 groups pass all 45 930 maps; a map-by-map
+        # scan of them is left out for time
+        for entry in _oracle_entries(5, degree_6_imprimitive=True):
+            got, want = _scan_and_oracle(entry.group, "strong", None)
+            assert got == want, entry.name
+
+    @pytest.mark.parametrize(
+        "G, maps, conjugate, checked, size",
+        [
+            (catalog.symmetric(5), "strong", False, 5, 3000),
+            (catalog.alternating(5), "strong", False, 5, 3000),
+            (catalog.dihedral(5), "strong", False, 40, 3000),
+            (catalog.cyclic(5), "strong", False, 120, 3000),
+            (catalog.symmetric(6), "strong", False, 9, 45930),
+            (catalog.alternating(6), "strong", False, 9, 45930),
+            (catalog.cyclic(6), "strong", False, 1291, 45930),
+            (catalog.symmetric(6), MODE_IDEMPOTENTS, True, 1, 30),
+            (catalog.cyclic(6), MODE_IDEMPOTENTS, True, 5, 30),
+        ],
+    )
+    def test_representative_counts(self, G, maps, conjugate, checked, size):
+        family = cl._strong_family(G.degree) if maps == "strong" else cl.family(G, maps)
+        seen = []
+
+        def passing(f):
+            seen.append(f)
+            return True, None
+
+        assert cl._scan(G, family, passing, conjugate=conjugate) == (True, None, size)
+        assert len(seen) == checked
+        assert len(set(seen)) == checked
+
+    def test_idempotent_orbits_are_conjugation_orbits(self):
+        # the G x G orbit of an idempotent of rank n-1 meets that family
+        # exactly in its conjugation orbit, the orbital of (a, b)
+        for entry in _oracle_entries(5):
+            G = entry.group
+            for e in perm.enumerate_idempotents_rank_n_minus_1(G.degree):
+                both_sides = cl._orbit(G, e.image, conjugate=False)
+                in_family = {t for t in both_sides if perm.is_idempotent(Transformation(t))}
+                conjugates = cl._orbit(G, e.image, conjugate=True)
+                assert conjugates == in_family, (entry.name, e)
+                (a,) = [p for p in range(G.degree) if e.image[p] != p]
+                orbital = {(g(a), g(e.image[a])) for g in gr.enumerate_elements(G)}
+                assert {next((p, q) for p, q in enumerate(t) if p != q) for t in conjugates} == orbital
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_predicates_agree_on_both_sides_of_the_orbit(self, data):
+        entry = data.draw(st.sampled_from(_oracle_entries(5)), label="group")
+        G, n = entry.group, entry.group.degree
+        f = Transformation(tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))))
+        word = st.lists(st.sampled_from(G.generators), max_size=6)
+        g, h = (
+            reduce(perm.compose, data.draw(word, label=side), perm.identity(n))
+            for side in ("g", "h")
+        )
+        moved = perm.compose(perm.compose(g, f), h)
+        checks = [cl._sync_maximal_check(G)] + [cl._condition_check(G, i) for i in range(2, 7)]
+        assert [c(f)[0] for c in checks] == [c(moved)[0] for c in checks]

@@ -61,6 +61,13 @@ class TestClassifyCommand:
         _, multi, _ = run(capsys, "classify", c5_grp, "--threads", "8")
         assert single == multi
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_rejected(self, capsys, c5_grp, threads):
+        code, out, err = run(capsys, "classify", c5_grp, "--threads", threads)
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
+
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.grp"
         bad.write_text("degree 3\n(0 9)\n")
@@ -113,6 +120,25 @@ class TestSearchCommand:
         assert "wrote 0 records" in out
         assert len(dest.read_text().splitlines()) == first
 
+    def test_resume_after_torn_final_line(self, capsys, tmp_path):
+        # a killed run leaves its last record cut short, without a newline
+        dest = tmp_path / "records.jsonl"
+        run(capsys, "search", "--degrees", "4", "--out", str(dest))
+        lines = dest.read_text().splitlines(keepends=True)
+        dest.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+        code, out, _ = run(capsys, "search", "--degrees", "4", "--out", str(dest), "--resume")
+        assert code == 0
+        assert f"wrote {len(lines) - 2} records" in out
+        names = [json.loads(line)["name"] for line in dest.read_text().splitlines()]
+        assert sorted(names) == sorted(json.loads(line)["name"] for line in lines)
+        assert len(names) == len(set(names))
+
+    def test_resume_needs_out(self, capsys):
+        code, out, err = run(capsys, "search", "--degrees", "3", "--resume")
+        assert code == 2
+        assert out == ""
+        assert "--resume needs --out" in err
+
     def test_stdout_without_out(self, capsys):
         code, out, _ = run(capsys, "search", "--degrees", "3..3")
         assert code == 0
@@ -143,6 +169,15 @@ class TestSynDfaCommand:
         assert doc["synchronizing"] is False
         assert "reset_word" not in doc
         assert doc["state_count"] == 1  # empty language
+
+    def test_letter_index_above_int8(self, capsys, tmp_path):
+        path = tmp_path / "many.aut"
+        path.write_text("degree 2\n" + "0 1\n" * 199 + "0 0\n")
+        code, out, _ = run(capsys, "syn-dfa", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["reset_word"] == "199"
+        assert doc["reset_word_length"] == 1
 
 
 class TestWitnessCommand:

@@ -113,6 +113,7 @@ class TestSearch:
         rec = next(iter(harness.search_strongly_sync_maximal(range(4, 5))))
         doc = rec.to_dict()
         assert doc["schema"] == "syncprim-record/1"
+        assert doc["version"] == "0.1.0"
         assert "seconds" not in doc
         assert "seconds" in rec.to_dict(timings=True)
         json.dumps(doc)
@@ -174,6 +175,23 @@ class TestRecordsFile:
         assert harness.write_records(records[:1], path) == 1
         with open(path) as fh:
             assert len(fh.read().splitlines()) == len(records) + 1
+
+    def test_torn_final_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        records = list(harness.search_strongly_sync_maximal(range(4, 5)))
+        harness.write_records(records[:2], str(path))
+        intact = path.read_text()
+        path.write_text(intact + intact.splitlines()[0][:40])
+        assert harness.completed_names(str(path)) == {r.name for r in records[:2]}
+        assert harness.write_records(records[2:3], str(path)) == 1
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["name"] for line in lines] == [r.name for r in records[:3]]
+
+    def test_unparsable_inner_line_is_an_error(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"name": "C4"}\n{"name": \n{"name": "S4"}\n')
+        with pytest.raises(ValueError):
+            harness.completed_names(str(path))
 
     def test_completed_names_missing_file(self, tmp_path):
         assert harness.completed_names(str(tmp_path / "absent.jsonl")) == set()
