@@ -70,7 +70,6 @@ class SubsetAutomaton:
 class DfaSummary:
     state_count: int
     accepting_count: int
-    class_representatives: Optional[tuple[tuple[str, ...], ...]] = None
 
 
 def build_group_automaton(G: GroupSpec, f: Transformation) -> SemiAutomaton:
@@ -153,11 +152,7 @@ def _merged_syn_dfa(sub: SubsetAutomaton):
     return trans, acc
 
 
-def minimal_syn_dfa(
-    A: SemiAutomaton,
-    method: str = "refine",
-    include_classes: bool = False,
-) -> DfaSummary:
+def minimal_syn_dfa(A: SemiAutomaton, method: str = "refine") -> DfaSummary:
     """Size of the minimal DFA of the synchronizing language of A.
 
     Built from the reachable subset automaton with all singleton states
@@ -177,23 +172,7 @@ def minimal_syn_dfa(
         labels = _pairwise_classes(trans, init)
     else:
         raise ValueError(f"unknown method {method!r}")
-    state_count = int(labels.max()) + 1
-    reps = None
-    if include_classes:
-        singles = set(sub.accepting_indices())
-        classes: dict[int, list[str]] = {}
-        for i, s in enumerate(sub.states):
-            if i in singles and acc is not None:
-                continue
-            # merged index, matching the renumbering in _merged_syn_dfa
-            merged_i = sum(1 for j in range(i) if j not in singles)
-            classes.setdefault(int(labels[merged_i]), []).append(mask_to_str(s))
-        if acc is not None:
-            classes.setdefault(int(labels[acc]), []).extend(
-                mask_to_str(sub.states[i]) for i in sorted(singles)
-            )
-        reps = tuple(tuple(classes[k]) for k in sorted(classes))
-    return DfaSummary(state_count, 0 if acc is None else 1, reps)
+    return DfaSummary(int(labels.max()) + 1, 0 if acc is None else 1)
 
 
 def _pairwise_classes(trans: np.ndarray, init: np.ndarray) -> np.ndarray:
@@ -459,29 +438,13 @@ def word_to_str(word) -> str:
 
 def parse_automaton_file(text: str) -> SemiAutomaton:
     """Parse the .aut format: "degree n" then one letter (image list) per line."""
-    degree = None
+    degree, body = perm.parse_degree_header(text)
     letters: list[Transformation] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if degree is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree":
-                raise ParseError(f"line {lineno}: expected 'degree n', got {line!r}")
-            try:
-                degree = int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad degree {parts[1]!r}") from exc
-            if degree < 1:
-                raise ParseError(f"line {lineno}: degree must be positive")
-            continue
+    for lineno, line in body:
         try:
             letters.append(perm.parse_image(line, degree))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    if degree is None:
-        raise ParseError("missing 'degree n' line")
     if not letters:
         raise ParseError("no letters given")
     return SemiAutomaton(degree, tuple(letters))

@@ -9,9 +9,7 @@ infeasible ("skipped", never guessed).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -23,13 +21,10 @@ from .perm import Transformation
 
 MODE_IDEMPOTENTS = "idempotents_only"
 MODE_ALL = "all_rank_n_minus_1"
-MODES = (MODE_IDEMPOTENTS, MODE_ALL)
 
 # The strong scan walks all maps of rank 2..n-1 and checks one per G x G
 # orbit; up to here that stays tractable.
 STRONG_SCAN_CAP = 7
-
-_CHUNK = 64
 
 REPORT_SCHEMA = "syncprim-report/1"
 
@@ -130,8 +125,6 @@ def _scan(
     G: GroupSpec,
     maps: Iterable[Transformation],
     check: Callable[[Transformation], tuple[bool, Optional[dict]]],
-    threads: int = 1,
-    full_scan: bool = False,
     conjugate: bool = False,
 ) -> tuple[bool, Optional[dict], int]:
     """Run check over one map per G x G orbit of the family; the first
@@ -143,62 +136,29 @@ def _scan(
     map only if no earlier checked map's orbit (see _orbit) covered it.
     The first failing map is the first of its orbit, so it is always
     checked: the witness is the one a map-by-map scan finds, and scanned
-    is that map's index + 1, or the family size when all pass.  full_scan
-    disables the early stop but keeps the same result, with scanned equal
-    to the family size.
-
-    The stream of checked maps does not depend on check results, so the
-    one-thread and thread-pool paths check the same maps and report the
-    same bytes: work is chunked in order and the failure with the smallest
-    index is reported."""
+    is that map's index + 1, or the family size when all pass."""
     n = G.degree
     weights = [n ** (n - 1 - i) for i in range(n)]
+    # base-n codes of maps covered but not met yet; each map is met once,
+    # so a code leaves the set when its map comes up
+    covered: set[int] = set()
     size = 0
-
-    def representatives():
-        nonlocal size
-        # base-n codes of maps covered but not met yet; each map is met
-        # once, so a code leaves the set when its map comes up
-        covered: set[int] = set()
-        for i, f in enumerate(maps):
-            size = i + 1
-            code = sum(map(mul, f.image, weights))
-            if code in covered:
-                covered.remove(code)
-                continue
-            yield i, f
-            orbit = _orbit(G, f.image, conjugate)
-            orbit.remove(f.image)
-            covered.update(sum(map(mul, t, weights)) for t in orbit)
-
-    def first_failure(outcomes):
-        found = None
-        for i, f, (ok, extra) in outcomes:
-            if not ok and found is None:
-                found = (i, f, extra)
-                if not full_scan:
-                    break
-        return found
-
-    reps = representatives()
-    if threads <= 1:
-        first_fail = first_failure((i, f, check(f)) for i, f in reps)
-    else:
-        chunks = list(iter(lambda: list(islice(reps, _CHUNK)), []))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda chunk: [check(f) for _, f in chunk], chunks)
-            first_fail = first_failure(
-                (i, f, res)
-                for chunk, chunk_results in zip(chunks, results)
-                for (i, f), res in zip(chunk, chunk_results)
-            )
-    if first_fail is None:
-        return True, None, size
-    i, f, extra = first_fail
-    witness = {"f": perm.format_image(f)}
-    if extra:
-        witness.update(extra)
-    return False, witness, size if full_scan else i + 1
+    for i, f in enumerate(maps):
+        size = i + 1
+        code = sum(map(mul, f.image, weights))
+        if code in covered:
+            covered.remove(code)
+            continue
+        ok, extra = check(f)
+        if not ok:
+            witness = {"f": perm.format_image(f)}
+            if extra:
+                witness.update(extra)
+            return False, witness, i + 1
+        orbit = _orbit(G, f.image, conjugate)
+        orbit.remove(f.image)
+        covered.update(sum(map(mul, t, weights)) for t in orbit)
+    return True, None, size
 
 
 def _timed(func):
@@ -208,9 +168,7 @@ def _timed(func):
     return result
 
 
-def is_sync_maximal(
-    G: GroupSpec, mode: str = MODE_IDEMPOTENTS, threads: int = 1, full_scan: bool = False
-) -> PredicateResult:
+def is_sync_maximal(G: GroupSpec, mode: str = MODE_IDEMPOTENTS) -> PredicateResult:
     """Whether every adjoined rank n-1 map yields a synchronizing language
     whose minimal DFA has the maximum 2^n - n states."""
     def run():
@@ -218,8 +176,7 @@ def is_sync_maximal(
         if n > am.SUBSET_CAP:
             return PredicateResult(None, reason=f"degree {n} exceeds power-set cap")
         ok, witness, scanned = _scan(
-            G, family(G, mode), _sync_maximal_check(G), threads, full_scan,
-            conjugate=mode == MODE_IDEMPOTENTS,
+            G, family(G, mode), _sync_maximal_check(G), conjugate=mode == MODE_IDEMPOTENTS
         )
         return PredicateResult(ok, witness, scanned)
 
@@ -267,13 +224,7 @@ def _condition_check(G: GroupSpec, index: int) -> Callable[[Transformation], tup
     return check
 
 
-def condition(
-    G: GroupSpec,
-    index: int,
-    mode: str = MODE_IDEMPOTENTS,
-    threads: int = 1,
-    full_scan: bool = False,
-) -> PredicateResult:
+def condition(G: GroupSpec, index: int, mode: str = MODE_IDEMPOTENTS) -> PredicateResult:
     """One of the six characterization conditions.
 
     (1) primitivity; (2) complete reachability for every f; (3) all 2-subsets
@@ -294,15 +245,14 @@ def condition(
         if index in (2, 4, 5) and G.degree > am.SUBSET_CAP:
             return PredicateResult(None, reason=f"degree {G.degree} exceeds power-set cap")
         ok, witness, scanned = _scan(
-            G, family(G, mode), _condition_check(G, index), threads, full_scan,
-            conjugate=mode == MODE_IDEMPOTENTS,
+            G, family(G, mode), _condition_check(G, index), conjugate=mode == MODE_IDEMPOTENTS
         )
         return PredicateResult(ok, witness, scanned)
 
     return _timed(run)
 
 
-def is_strongly_sync_maximal(G: GroupSpec, threads: int = 1, full_scan: bool = False) -> PredicateResult:
+def is_strongly_sync_maximal(G: GroupSpec) -> PredicateResult:
     """Whether adjoining any map of rank 2..n-1 leaves all 2-subsets
     distinguishable.  The scan covers all n^n maps, so degrees above
     STRONG_SCAN_CAP are skipped."""
@@ -314,9 +264,7 @@ def is_strongly_sync_maximal(G: GroupSpec, threads: int = 1, full_scan: bool = F
             )
 
         # condition 3's check, over all ranks 2..n-1
-        ok, witness, scanned = _scan(
-            G, _strong_family(n), _condition_check(G, 3), threads, full_scan
-        )
+        ok, witness, scanned = _scan(G, _strong_family(n), _condition_check(G, 3))
         return PredicateResult(ok, witness, scanned)
 
     return _timed(run)
@@ -326,8 +274,6 @@ def classify(
     G: GroupSpec,
     name: Optional[str] = None,
     mode: str = MODE_IDEMPOTENTS,
-    threads: int = 1,
-    full_scan: bool = False,
     with_conditions: bool = True,
     with_strong: bool = True,
 ) -> ClassificationReport:
@@ -346,13 +292,13 @@ def classify(
     preds["transitive"] = timed_plain(lambda: (gr.is_transitive(G), None))
     prim = condition(G, 1)
     preds["primitive"] = prim
-    preds["sync_maximal"] = is_sync_maximal(G, mode, threads, full_scan)
-    preds["completely_reachable_all_f"] = condition(G, 2, mode, threads, full_scan)
+    preds["sync_maximal"] = is_sync_maximal(G, mode)
+    preds["completely_reachable_all_f"] = condition(G, 2, mode)
     if with_conditions:
         for i in range(3, 7):
-            preds[f"condition_{i}"] = condition(G, i, mode, threads, full_scan)
+            preds[f"condition_{i}"] = condition(G, i, mode)
         preds["condition_1"] = prim
         preds["condition_2"] = preds["completely_reachable_all_f"]
     if with_strong:
-        preds["strongly_sync_maximal"] = is_strongly_sync_maximal(G, threads, full_scan)
+        preds["strongly_sync_maximal"] = is_strongly_sync_maximal(G)
     return report

@@ -41,14 +41,14 @@ def _emit(doc: dict, out: str | None):
 def _cmd_classify(args) -> int:
     G = gr.parse_group_file(_read(args.groupfile))
     mode = cl.MODE_ALL if args.mode == "all" else cl.MODE_IDEMPOTENTS
-    report = cl.classify(G, name=args.groupfile, mode=mode, threads=args.threads)
+    report = cl.classify(G, name=args.groupfile, mode=mode)
     _emit(report.to_dict(timings=args.timings), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     mode = cl.MODE_ALL if args.mode == "all" else cl.MODE_IDEMPOTENTS
-    summary = harness.verify_theorems(args.max_degree, mode, threads=args.threads)
+    summary = harness.verify_theorems(args.max_degree, mode)
     _emit(summary.to_dict(), args.out)
     return EXIT_OK if summary.ok else EXIT_VERIFY_FAIL
 
@@ -69,7 +69,7 @@ def _cmd_search(args) -> int:
     if args.resume and not args.out:
         raise ParseError("--resume needs --out, the records file to resume")
     skip = harness.completed_names(args.out) if args.resume else None
-    records = harness.search_strongly_sync_maximal(degrees, threads=args.threads, skip_names=skip)
+    records = harness.search_strongly_sync_maximal(degrees, skip_names=skip)
     if args.out:
         count = harness.write_records(records, args.out, timings=args.timings)
         print(f"wrote {count} records to {args.out}")
@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--threads", type=int, default=1, help="worker count for scans")
         p.add_argument("--timings", action="store_true", help="include wall-clock times in reports")
 
     p = sub.add_parser("classify", help="classify a permutation group from a .grp file")
@@ -166,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ParseError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (ParseError, am.DegreeCapError, gr.GroupTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -256,29 +256,13 @@ def parse_group_file(text: str) -> GroupSpec:
 
     Generators may be image lists or cycle notation; '#' starts a comment.
     """
-    degree = None
+    degree, body = perm.parse_degree_header(text)
     gens: list[Transformation] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if degree is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree":
-                raise ParseError(f"line {lineno}: expected 'degree n', got {line!r}")
-            try:
-                degree = int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad degree {parts[1]!r}") from exc
-            if degree < 1:
-                raise ParseError(f"line {lineno}: degree must be positive")
-            continue
+    for lineno, line in body:
         try:
             gens.append(perm.parse_permutation(line, degree))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    if degree is None:
-        raise ParseError("missing 'degree n' line")
     if not gens:
         raise ParseError("no generators given")
     return GroupSpec(degree, tuple(gens))

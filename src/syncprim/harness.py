@@ -14,7 +14,7 @@ from . import group as gr
 from .automaton import SemiAutomaton
 from .catalog import CatalogEntry, builtin_catalog, subgroup_census_s4
 from .classify import MODE_ALL, MODE_IDEMPOTENTS
-from .perm import Transformation
+from .perm import ParseError, Transformation
 from .rng import SplitMix64
 
 
@@ -51,7 +51,7 @@ def _verify_entries(max_degree: int) -> list[CatalogEntry]:
     return entries
 
 
-def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS, threads: int = 1) -> VerifySummary:
+def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS) -> VerifySummary:
     """Check the main equivalences over the catalog plus the degree-4
     subgroup census.
 
@@ -78,7 +78,7 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS, threads: int 
                         {"group": entry.name, "check": f"expected_{what}", "expected": exp, "got": got}
                     )
 
-        sm = cl.is_sync_maximal(G, mode, threads)
+        sm = cl.is_sync_maximal(G, mode)
         summary.checks += 1
         if sm.value != prim:
             summary.violations.append(
@@ -90,7 +90,7 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS, threads: int 
                     "witness": sm.witness,
                 }
             )
-        cr = cl.condition(G, 2, mode, threads)
+        cr = cl.condition(G, 2, mode)
         summary.checks += 1
         if cr.value != prim:
             summary.violations.append(
@@ -104,7 +104,7 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS, threads: int 
             )
         conds = {1: prim, 2: cr.value}
         for i in range(3, 7):
-            conds[i] = cl.condition(G, i, mode, threads).value
+            conds[i] = cl.condition(G, i, mode).value
         if n >= 5:
             summary.checks += 1
             if len({conds[i] for i in range(1, 7)}) != 1:
@@ -143,7 +143,7 @@ class ExperimentRecord:
 
 
 def search_strongly_sync_maximal(
-    degrees: range, threads: int = 1, skip_names: Optional[set[str]] = None
+    degrees: range, skip_names: Optional[set[str]] = None
 ) -> Iterator[ExperimentRecord]:
     """Classify every catalog group at the given degrees, recording the
     primitive / 4-transitive / strongly-sync-maximal flags to expose any
@@ -157,9 +157,7 @@ def search_strongly_sync_maximal(
             if skip_names and entry.name in skip_names:
                 continue
             start = time.perf_counter()
-            report = cl.classify(
-                entry.group, entry.name, threads=threads, with_conditions=False
-            )
+            report = cl.classify(entry.group, entry.name, with_conditions=False)
             four = gr.is_k_transitive(entry.group, 4) if n >= 4 else None
             strong = report.predicates["strongly_sync_maximal"].value
             prim = report.predicates["primitive"].value
@@ -225,6 +223,18 @@ def write_records(records, path: str, timings: bool = False) -> int:
 
 def completed_names(path: str) -> set[str]:
     """Names of the records in a records file, ignoring a final line cut
-    short by a killed run."""
+    short by a killed run.  A record is a JSON object with a string
+    "name"; any other line raises ParseError naming its line number."""
     lines, _ = _intact_lines(path)
-    return {json.loads(line)["name"] for line in lines if line.strip()}
+    names = set()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            rec = None
+        if not (isinstance(rec, dict) and isinstance(rec.get("name"), str)):
+            raise ParseError(f'{path} line {lineno}: not a record (a JSON object with a string "name")')
+        names.add(rec["name"])
+    return names

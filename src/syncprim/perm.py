@@ -203,6 +203,35 @@ def parse_permutation(text: str, n: int) -> Transformation:
     return g
 
 
+def parse_degree_header(text: str) -> tuple[int, list[tuple[int, str]]]:
+    """Split a .grp or .aut file into its "degree n" header and its body.
+
+    '#' starts a comment and blank lines are skipped.  Returns n and the
+    remaining lines as (line number, text) pairs, for the caller's own
+    line parser."""
+    degree = None
+    body: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if degree is not None:
+            body.append((lineno, line))
+            continue
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != "degree":
+            raise ParseError(f"line {lineno}: expected 'degree n', got {line!r}")
+        try:
+            degree = int(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad degree {parts[1]!r}") from exc
+        if degree < 1:
+            raise ParseError(f"line {lineno}: degree must be positive")
+    if degree is None:
+        raise ParseError("missing 'degree n' line")
+    return degree, body
+
+
 def format_image(f: Transformation) -> str:
     return " ".join(str(v) for v in f.image)
 

@@ -233,14 +233,6 @@ class TestMinimalSynDfa:
                 == am.minimal_syn_dfa(A, method="pairwise").state_count
             )
 
-    def test_class_representatives_partition_states(self):
-        A = am.cerny_automaton(4)
-        summary = am.minimal_syn_dfa(A, include_classes=True)
-        sub = am.build_subset_automaton(A)
-        listed = [s for cls in summary.class_representatives for s in cls]
-        assert sorted(listed) == sorted(am.mask_to_str(s) for s in sub.states)
-        assert len(summary.class_representatives) == summary.state_count
-
     def test_maximality_three_way_consistency(self):
         # count = 2^n - n iff all size>=2 subsets plus a singleton reachable
         # and all non-singletons distinguishable

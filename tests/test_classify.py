@@ -46,18 +46,6 @@ class TestIsSyncMaximal:
             b = cl.is_sync_maximal(entry.group, MODE_ALL).value
             assert a == b, entry.name
 
-    def test_thread_count_invariance(self):
-        for G in (catalog.cyclic(4), catalog.cyclic(5), catalog.dihedral(6)):
-            for predicate in (
-                lambda threads: cl.is_sync_maximal(G, MODE_IDEMPOTENTS, threads=threads),
-                lambda threads: cl.condition(G, 4, MODE_ALL, threads=threads),
-                lambda threads: cl.is_strongly_sync_maximal(G, threads=threads),
-            ):
-                single, multi = predicate(1), predicate(4)
-                assert single.value == multi.value
-                assert single.witness == multi.witness
-                assert single.scanned == multi.scanned
-
 
 class TestConditions:
     def test_condition_6_diverges_at_degree_4(self):
