@@ -1,14 +1,17 @@
-"""Hot numeric kernels: subset-graph BFS and partition refinement.
+"""Hot numeric kernels: subset-graph BFS, reset words, the pair table and
+partition refinement.
 
-The loop kernels are compiled with numba when available; setting
+The BFS kernels are compiled with numba when available; setting
 SYNCPRIM_NO_NUMBA=1 (or a missing numba install) selects the pure-Python
-fallback with identical semantics.  benchmarks/bench_kernels.py compares
-the two paths.
+fallback with identical semantics.  Partition refinement (Hopcroft's
+algorithm, moore_refine) is plain Python over array('i') buffers on both
+paths.  benchmarks/bench_kernels.py times the kernels.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 
 import numpy as np
 
@@ -197,24 +200,104 @@ def pair_merge_table(letters, n):
     return good
 
 
+def _buffer(values) -> array:
+    """An array('i') holding the given integers."""
+    out = array("i")
+    out.frombytes(np.ascontiguousarray(values, dtype=np.int32).tobytes())
+    return out
+
+
 def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
-    """Moore partition refinement of a complete DFA.
+    """The coarsest partition of a complete DFA's states that refines
+    init_labels and is stable under every letter, by Hopcroft's
+    O(m log n) algorithm.
 
     trans: (S, L) successor indices; init_labels: (S,) initial class labels.
-    Returns the final class label per state (labels are compact ints,
-    deterministic for a given input).  Vectorized with numpy; no numba
-    needed since each round is O(S * L) array work.
+    Returns one label per state.  Labels are compact ints 0..k-1 and
+    deterministic for a given input, but otherwise opaque: callers compare
+    them for equality and take their max.
+
+    The partition is a flat refinable partition (Valmari & Lehtinen,
+    "Efficient minimization of DFAs with partial transition functions",
+    STACS 2008): elems lists the states block by block, loc[s] is the
+    position of s in elems, sidx[s] its block, and block b occupies
+    elems[first[b]:end[b]], of which elems[first[b]:mid[b]] is marked.
+    A worklist holds splitter blocks.  Popping one marks, letter by
+    letter, the preimages of its states and splits every touched block
+    into its marked and unmarked part; the smaller part takes the new
+    block index and is pushed.  A block that was still on the worklist
+    keeps its index there, so both parts stay queued; one that was not
+    needs only the smaller part, since stability under a block and under
+    one of its parts gives stability under the other part.  The initial
+    worklist is every initial block but a largest one, for the same
+    reason: a complete DFA is trivially stable under the whole state set.
+
+    The name predates the algorithm: perfbench traces the kernel under
+    it, and the tests keep Moore's algorithm as an oracle.
     """
-    labels = np.unique(np.asarray(init_labels), return_inverse=True)[1]
-    n_classes = int(labels.max()) + 1 if labels.size else 0
-    L = trans.shape[1]
-    while True:
-        sig = np.empty((trans.shape[0], L + 1), dtype=np.int64)
-        sig[:, 0] = labels
+    trans = np.asarray(trans)
+    labels = np.unique(np.asarray(init_labels), return_inverse=True)[1].reshape(-1)
+    S, L = trans.shape
+    if S == 0:
+        return labels
+    sizes = np.bincount(labels)
+    k = len(sizes)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.zeros(S + 1, np.int64)
+    bounds[1 : k + 1] = np.cumsum(sizes)
+    loc = np.empty(S, np.int64)
+    loc[order] = np.arange(S)
+    elems, loc, sidx = _buffer(order), _buffer(loc), _buffer(labels)
+    first, end = _buffer(bounds[:S]), _buffer(bounds[1:])
+    mid = array("i", first)
+    # preimages per letter in CSR layout: pre[l][off[l][s]:off[l][s + 1]]
+    # are the states that letter l sends to s
+    pre, off = [], []
+    for l in range(L):
+        target = trans[:, l]
+        pre.append(_buffer(np.argsort(target, kind="stable")))
+        offsets = np.zeros(S + 1, np.int64)
+        np.cumsum(np.bincount(target, minlength=S), out=offsets[1:])
+        off.append(_buffer(offsets))
+    largest = int(np.argmax(sizes))
+    worklist = [b for b in range(k) if b != largest]
+    count = k
+    touched = []
+    while worklist:
+        c = worklist.pop()
+        # a copy: marking swaps states inside c itself
+        splitter = elems[first[c] : end[c]]
         for l in range(L):
-            sig[:, l + 1] = labels[trans[:, l]]
-        _, labels = np.unique(sig, axis=0, return_inverse=True)
-        new_classes = int(labels.max()) + 1 if labels.size else 0
-        if new_classes == n_classes:
-            return labels
-        n_classes = new_classes
+            pre_l, off_l = pre[l], off[l]
+            for s in splitter:
+                for p in pre_l[off_l[s] : off_l[s + 1]]:
+                    b = sidx[p]
+                    m = mid[b]
+                    i = loc[p]
+                    if i >= m:
+                        if m == first[b]:
+                            touched.append(b)
+                        q = elems[m]
+                        elems[i] = q
+                        loc[q] = i
+                        elems[m] = p
+                        loc[p] = m
+                        mid[b] = m + 1
+            for b in touched:
+                f, m, e = first[b], mid[b], end[b]
+                mid[b] = f
+                if m == e:
+                    continue
+                if m - f <= e - m:
+                    first[count], end[count] = f, m
+                    first[b] = mid[b] = m
+                else:
+                    first[count], end[count] = m, e
+                    end[b] = m
+                mid[count] = first[count]
+                for i in range(first[count], end[count]):
+                    sidx[elems[i]] = count
+                worklist.append(count)
+                count += 1
+            touched.clear()
+    return np.frombuffer(sidx, dtype=np.int32).astype(np.int64)

@@ -62,9 +62,6 @@ class SubsetAutomaton:
     states: tuple[int, ...]          # bitmasks, BFS order
     transitions: tuple[tuple[int, ...], ...]  # state x letter -> state index
 
-    def accepting_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.states) if s & (s - 1) == 0)
-
 
 @dataclass(frozen=True)
 class DfaSummary:
@@ -125,31 +122,24 @@ def shortest_reset_word(A: SemiAutomaton) -> Optional[list[int]]:
     return [int(x) for x in word]
 
 
-def _merged_syn_dfa(sub: SubsetAutomaton):
+def _merged_syn_dfa(states: np.ndarray, trans: np.ndarray):
     """Collapse all singleton subset states into one accepting sink.
 
+    states, trans: the reachable subset automaton as subset_reach gives it.
     Returns (trans, accepting_index or None).  Sound because a singleton
     image stays a singleton under every letter.
     """
-    singles = set(sub.accepting_indices())
-    if not singles:
-        trans = np.array(sub.transitions, dtype=np.int32)
+    single = (states & (states - 1)) == 0
+    if not single.any():
         return trans, None
-    remap = np.empty(len(sub.states), dtype=np.int32)
-    nxt = 0
-    for i in range(len(sub.states)):
-        if i in singles:
-            remap[i] = -1
-        else:
-            remap[i] = nxt
-            nxt += 1
-    acc = nxt
-    remap[remap == -1] = acc
-    trans = np.empty((nxt + 1, len(sub.transitions[0])), dtype=np.int32)
-    for i, row in enumerate(sub.transitions):
-        trans[remap[i]] = [remap[j] for j in row]
-    trans[acc] = acc  # accepting sink: singletons only map to singletons
-    return trans, acc
+    keep = ~single
+    acc = int(np.count_nonzero(keep))
+    remap = np.cumsum(keep, dtype=np.int32) - 1
+    remap[single] = acc
+    merged = np.empty((acc + 1, trans.shape[1]), dtype=np.int32)
+    merged[:acc] = remap[trans[keep]]
+    merged[acc] = acc  # accepting sink: singletons only map to singletons
+    return merged, acc
 
 
 def minimal_syn_dfa(A: SemiAutomaton, method: str = "refine") -> DfaSummary:
@@ -157,12 +147,12 @@ def minimal_syn_dfa(A: SemiAutomaton, method: str = "refine") -> DfaSummary:
 
     Built from the reachable subset automaton with all singleton states
     merged into one accepting state, then minimized.  method="refine" uses
-    Moore partition refinement; method="pairwise" counts classes through
+    Hopcroft partition refinement; method="pairwise" counts classes through
     the independent pairwise-marking oracle.  When the language is empty
     every state is equivalent and the count is 1 (the dead sink).
     """
-    sub = build_subset_automaton(A)
-    trans, acc = _merged_syn_dfa(sub)
+    _check_subset_cap(A)
+    trans, acc = _merged_syn_dfa(*subset_reach(A.letter_array(), A.degree))
     init = np.zeros(trans.shape[0], dtype=np.int64)
     if acc is not None:
         init[acc] = 1
@@ -178,27 +168,20 @@ def minimal_syn_dfa(A: SemiAutomaton, method: str = "refine") -> DfaSummary:
 def _pairwise_classes(trans: np.ndarray, init: np.ndarray) -> np.ndarray:
     """Equivalence classes by iterated pairwise marking (table filling).
 
-    Independent oracle for the Moore refinement path; O(S^2 * L) per round.
+    Independent oracle for the partition refinement path: a pair is marked
+    when its initial labels differ, or when some letter sends it to a
+    marked pair; rounds repeat until none marks a new pair.
     """
-    S, L = trans.shape
-    marked = np.zeros((S, S), dtype=bool)
-    for p in range(S):
-        for q in range(S):
-            if init[p] != init[q]:
-                marked[p, q] = True
-    changed = True
-    while changed:
-        changed = False
-        for p in range(S):
-            for q in range(p + 1, S):
-                if marked[p, q]:
-                    continue
-                for l in range(L):
-                    if marked[trans[p, l], trans[q, l]]:
-                        marked[p, q] = True
-                        marked[q, p] = True
-                        changed = True
-                        break
+    S = trans.shape[0]
+    marked = init[:, None] != init[None, :]
+    count = np.count_nonzero(marked)
+    while True:
+        for t in trans.T:
+            marked |= marked[t[:, None], t[None, :]]
+        new_count = np.count_nonzero(marked)
+        if new_count == count:
+            break
+        count = new_count
     labels = np.full(S, -1, dtype=np.int64)
     nxt = 0
     for p in range(S):
@@ -208,12 +191,13 @@ def _pairwise_classes(trans: np.ndarray, init: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _collapse_refinement(A: SemiAutomaton, masks: list[int]):
-    """Moore labels for the collapse DFA over the given non-singleton masks.
+def _collapse_refinement(A: SemiAutomaton, masks: list[int]) -> np.ndarray:
+    """Refinement labels for the collapse DFA over the given non-singleton
+    masks.
 
     States are the masks plus one absorbing sink entered when an image
-    drops out of the mask list (i.e. becomes a singleton).  Returns
-    (labels, sink_label_index) with labels aligned to `masks`.
+    drops out of the mask list (i.e. becomes a singleton).  Returns the
+    labels of the masks, aligned to `masks`.
     """
     index = {m: i for i, m in enumerate(masks)}
     sink = len(masks)
@@ -226,8 +210,7 @@ def _collapse_refinement(A: SemiAutomaton, masks: list[int]):
     trans[sink] = sink
     init = np.zeros(sink + 1, dtype=np.int64)
     init[sink] = 1
-    labels = moore_refine(trans, init)
-    return labels[:sink], labels[sink]
+    return moore_refine(trans, init)[:sink]
 
 
 def _all_2subset_masks(n: int) -> list[int]:
@@ -247,7 +230,7 @@ def all_2subsets_distinguishable(
     masks = _all_2subset_masks(n)
     if len(masks) < 2:
         return True, None
-    labels, _ = _collapse_refinement(A, masks)
+    labels = _collapse_refinement(A, masks)
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if labels[i] == labels[j]:
@@ -262,7 +245,7 @@ def disjoint_2subsets_distinguishable(
     masks = _all_2subset_masks(A.degree)
     if len(masks) < 2:
         return True, None
-    labels, _ = _collapse_refinement(A, masks)
+    labels = _collapse_refinement(A, masks)
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if masks[i] & masks[j]:
@@ -292,7 +275,7 @@ def all_nonsingleton_distinguishable_witness(
     masks = _nonsingleton_masks(A.degree)
     if len(masks) < 2:
         return True, None
-    labels, _ = _collapse_refinement(A, masks)
+    labels = _collapse_refinement(A, masks)
     seen: dict[int, int] = {}
     for i, m in enumerate(masks):
         lab = int(labels[i])
@@ -314,8 +297,8 @@ def different_cardinality_reachable_witness(
     images of different cardinality by some monoid element.
 
     Two subsets fail exactly when their image cardinalities agree under
-    every word, i.e. when Moore refinement with the cardinality as the
-    initial label cannot separate them."""
+    every word, i.e. when partition refinement with the cardinality as
+    the initial label cannot separate them."""
     _check_subset_cap(A)
     n = A.degree
     masks = list(range(1, 1 << n))

@@ -75,10 +75,24 @@ def family(G: GroupSpec, mode: str) -> Iterator[Transformation]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def family_size(n: int, mode: str) -> int:
+    """The number of maps family(G, mode) yields at degree n, by formula
+    rather than by walking the family."""
+    if mode == MODE_IDEMPOTENTS:
+        return n * (n - 1)
+    if mode == MODE_ALL:
+        return perm.count_maps_of_rank(n, n - 1)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def _strong_family(n: int) -> Iterator[Transformation]:
     """All maps on [n] of rank 2..n-1, by rank, each rank lexicographic."""
     for r in range(2, n):
         yield from perm.enumerate_maps_of_rank(n, r)
+
+
+def _strong_family_size(n: int) -> int:
+    return sum(perm.count_maps_of_rank(n, r) for r in range(2, n))
 
 
 def _orbit(G: GroupSpec, start: tuple[int, ...], conjugate: bool) -> set[tuple[int, ...]]:
@@ -124,6 +138,7 @@ def _orbit(G: GroupSpec, start: tuple[int, ...], conjugate: bool) -> set[tuple[i
 def _scan(
     G: GroupSpec,
     maps: Iterable[Transformation],
+    size: int,
     check: Callable[[Transformation], tuple[bool, Optional[dict]]],
     conjugate: bool = False,
 ) -> tuple[bool, Optional[dict], int]:
@@ -136,15 +151,15 @@ def _scan(
     map only if no earlier checked map's orbit (see _orbit) covered it.
     The first failing map is the first of its orbit, so it is always
     checked: the witness is the one a map-by-map scan finds, and scanned
-    is that map's index + 1, or the family size when all pass."""
+    is that map's index + 1, or size, the number of maps in the family,
+    when all pass.  The scan stops as soon as every map not met yet is
+    covered, since those all pass."""
     n = G.degree
     weights = [n ** (n - 1 - i) for i in range(n)]
     # base-n codes of maps covered but not met yet; each map is met once,
     # so a code leaves the set when its map comes up
     covered: set[int] = set()
-    size = 0
     for i, f in enumerate(maps):
-        size = i + 1
         code = sum(map(mul, f.image, weights))
         if code in covered:
             covered.remove(code)
@@ -158,6 +173,8 @@ def _scan(
         orbit = _orbit(G, f.image, conjugate)
         orbit.remove(f.image)
         covered.update(sum(map(mul, t, weights)) for t in orbit)
+        if len(covered) == size - (i + 1):
+            break
     return True, None, size
 
 
@@ -176,7 +193,11 @@ def is_sync_maximal(G: GroupSpec, mode: str = MODE_IDEMPOTENTS) -> PredicateResu
         if n > am.SUBSET_CAP:
             return PredicateResult(None, reason=f"degree {n} exceeds power-set cap")
         ok, witness, scanned = _scan(
-            G, family(G, mode), _sync_maximal_check(G), conjugate=mode == MODE_IDEMPOTENTS
+            G,
+            family(G, mode),
+            family_size(n, mode),
+            _sync_maximal_check(G),
+            conjugate=mode == MODE_IDEMPOTENTS,
         )
         return PredicateResult(ok, witness, scanned)
 
@@ -245,7 +266,11 @@ def condition(G: GroupSpec, index: int, mode: str = MODE_IDEMPOTENTS) -> Predica
         if index in (2, 4, 5) and G.degree > am.SUBSET_CAP:
             return PredicateResult(None, reason=f"degree {G.degree} exceeds power-set cap")
         ok, witness, scanned = _scan(
-            G, family(G, mode), _condition_check(G, index), conjugate=mode == MODE_IDEMPOTENTS
+            G,
+            family(G, mode),
+            family_size(G.degree, mode),
+            _condition_check(G, index),
+            conjugate=mode == MODE_IDEMPOTENTS,
         )
         return PredicateResult(ok, witness, scanned)
 
@@ -264,7 +289,9 @@ def is_strongly_sync_maximal(G: GroupSpec) -> PredicateResult:
             )
 
         # condition 3's check, over all ranks 2..n-1
-        ok, witness, scanned = _scan(G, _strong_family(n), _condition_check(G, 3))
+        ok, witness, scanned = _scan(
+            G, _strong_family(n), _strong_family_size(n), _condition_check(G, 3)
+        )
         return PredicateResult(ok, witness, scanned)
 
     return _timed(run)

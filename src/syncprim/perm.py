@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 from typing import Iterator
 
 # Pair-level constructions work up to one 64-bit word of points; anything
@@ -148,6 +149,15 @@ def enumerate_maps_of_rank(n: int, r: int) -> Iterator[Transformation]:
     for image in product(range(n), repeat=n):
         if len(set(image)) == r:
             yield Transformation(image)
+
+
+def count_maps_of_rank(n: int, r: int) -> int:
+    """The number of maps on [n] of rank exactly r, C(n, r) * r! * S(n, r):
+    choose the image, then a surjection onto it.  The r! * S(n, r)
+    surjections are counted by inclusion-exclusion over missed points."""
+    if not 1 <= r <= n:
+        return 0
+    return comb(n, r) * sum((-1) ** j * comb(r, j) * (r - j) ** n for j in range(r + 1))
 
 
 def parse_image(text: str, n: int | None = None) -> Transformation:

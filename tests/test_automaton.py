@@ -1,8 +1,11 @@
 from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from syncprim import automaton as am, catalog, group as gr, perm
+from syncprim import _kernels, automaton as am, catalog, group as gr, perm
 from syncprim.automaton import SemiAutomaton
 from syncprim.perm import Transformation
 
@@ -26,6 +29,27 @@ def brute_force_synchronizing(A):
                 seen.add(img)
                 queue.append(img)
     return False
+
+
+def moore_oracle(trans, init_labels):
+    """Independent oracle for partition refinement: Moore's algorithm, one
+    np.unique round per step until the class count stops growing."""
+    labels = np.unique(np.asarray(init_labels), return_inverse=True)[1].reshape(-1)
+    n_classes = int(labels.max()) + 1
+    while True:
+        sig = np.column_stack([labels] + [labels[trans[:, l]] for l in range(trans.shape[1])])
+        labels = np.unique(sig, axis=0, return_inverse=True)[1].reshape(-1)
+        if int(labels.max()) + 1 == n_classes:
+            return labels
+        n_classes = int(labels.max()) + 1
+
+
+def partition(labels):
+    """The partition a labelling induces, independent of the label values."""
+    blocks = {}
+    for state, label in enumerate(labels.tolist()):
+        blocks.setdefault(label, []).append(state)
+    return sorted(blocks.values())
 
 
 def brute_force_reachable(A):
@@ -251,6 +275,88 @@ class TestMinimalSynDfa:
                 s & (s - 1) == 0 for s in sub.states
             )
             assert maximal == (reach_ok and am.all_nonsingleton_distinguishable(A))
+
+
+class TestPartitionRefinement:
+    """moore_refine (Hopcroft) against the Moore and pairwise-marking oracles."""
+
+    @staticmethod
+    def check(trans, init):
+        trans = np.asarray(trans, dtype=np.int32)
+        init = np.asarray(init, dtype=np.int64)
+        labels = _kernels.moore_refine(trans, init)
+        assert labels.shape == init.shape
+        assert sorted(set(labels.tolist())) == list(range(int(labels.max()) + 1))
+        want = partition(moore_oracle(trans, init))
+        assert partition(labels) == want
+        assert partition(am._pairwise_classes(trans, init)) == want
+        return labels
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_complete_dfas(self, data):
+        S = data.draw(st.integers(1, 40), label="states")
+        L = data.draw(st.integers(1, 3), label="letters")
+        K = data.draw(st.integers(1, 4), label="initial labels")
+        state = st.integers(0, S - 1)
+        trans = data.draw(st.lists(st.lists(state, min_size=L, max_size=L), min_size=S, max_size=S))
+        init = data.draw(st.lists(st.integers(0, K - 1), min_size=S, max_size=S))
+        self.check(trans, init)
+
+    def test_splitter_that_is_its_own_preimage(self):
+        # the letter swaps 1 and 2: marking the preimages of block {1, 2}
+        # reorders that block while it is the splitter
+        labels = self.check([[0], [2], [1], [0]], [0, 1, 1, 0])
+        assert partition(labels) == [[0, 3], [1, 2]]
+
+    def test_one_state(self):
+        assert self.check([[0, 0]], [7]).tolist() == [0]
+
+    def test_one_initial_class_stays_one_class(self):
+        trans = [[(i + 1) % 9, i // 2] for i in range(9)]
+        assert set(self.check(trans, [3] * 9).tolist()) == {0}
+
+    def test_all_singletons_stay_apart(self):
+        trans = [[0, 0]] * 6
+        assert len(set(self.check(trans, [5, 4, 3, 2, 1, 0]).tolist())) == 6
+
+    def test_one_letter_cycle_and_chain(self):
+        # a 12-cycle with one marked state splits into 12 classes
+        labels = self.check([[(i + 1) % 12] for i in range(12)], [1] + [0] * 11)
+        assert len(set(labels.tolist())) == 12
+        # a 6-cycle with every other state marked has two classes
+        labels = self.check([[(i + 1) % 6] for i in range(6)], [1, 0] * 3)
+        assert len(set(labels.tolist())) == 2
+        # a chain into an absorbing marked state: every distance differs
+        labels = self.check([[min(i + 1, 9)] for i in range(10)], [0] * 9 + [1])
+        assert len(set(labels.tolist())) == 10
+
+    def test_merged_syn_dfa_tables_match_moore(self):
+        for A in [am.cerny_automaton(n) for n in (3, 6, 9)] + [
+            am.build_group_automaton(catalog.cyclic(6), t(1, 1, 2, 3, 4, 5)),
+            am.build_group_automaton(catalog.dihedral(6), t(0, 0, 2, 3, 4, 5)),
+        ]:
+            states, trans = _kernels.subset_reach(A.letter_array(), A.degree)
+            merged, acc = am._merged_syn_dfa(states, trans)
+            init = np.zeros(len(merged), dtype=np.int64)
+            init[acc] = 1
+            assert partition(_kernels.moore_refine(merged, init)) == partition(moore_oracle(merged, init))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cerny_syn_dfa_is_maximal(self, n):
+        assert am.minimal_syn_dfa(am.cerny_automaton(n)).state_count == 2 ** n - n
+
+    def test_merged_syn_dfa_collapses_exactly_the_singletons(self):
+        A = am.build_group_automaton(catalog.cyclic(5), t(1, 1, 2, 3, 4))
+        sub = am.build_subset_automaton(A)
+        states, trans = _kernels.subset_reach(A.letter_array(), A.degree)
+        merged, acc = am._merged_syn_dfa(states, trans)
+        kept = [i for i, s in enumerate(sub.states) if s & (s - 1)]
+        new = {old: i for i, old in enumerate(kept)}
+        assert acc == len(kept) and merged.shape == (len(kept) + 1, len(A.letters))
+        for old, i in new.items():
+            assert merged[i].tolist() == [new.get(j, acc) for j in sub.transitions[old]]
+        assert merged[acc].tolist() == [acc] * len(A.letters)
 
 
 class TestDistinguishability:

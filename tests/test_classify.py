@@ -268,6 +268,9 @@ class TestOrbitScan:
             (catalog.cyclic(6), "strong", False, 1291, 45930),
             (catalog.symmetric(6), MODE_IDEMPOTENTS, True, 1, 30),
             (catalog.cyclic(6), MODE_IDEMPOTENTS, True, 5, 30),
+            # every orbit of the trivial group is one map, the last one too
+            (gr.trivial_group(4), "strong", False, 228, 228),
+            (gr.trivial_group(4), MODE_IDEMPOTENTS, True, 12, 12),
         ],
     )
     def test_representative_counts(self, G, maps, conjugate, checked, size):
@@ -278,9 +281,38 @@ class TestOrbitScan:
             seen.append(f)
             return True, None
 
-        assert cl._scan(G, family, passing, conjugate=conjugate) == (True, None, size)
+        assert cl._scan(G, family, size, passing, conjugate=conjugate) == (True, None, size)
         assert len(seen) == checked
         assert len(set(seen)) == checked
+
+    def test_family_sizes_are_counted_exactly(self):
+        for n in range(1, 7):
+            for mode in (MODE_IDEMPOTENTS, MODE_ALL):
+                walked = sum(1 for _ in cl.family(gr.trivial_group(n), mode))
+                assert cl.family_size(n, mode) == walked, (n, mode)
+            assert cl._strong_family_size(n) == sum(1 for _ in cl._strong_family(n)), n
+        assert cl._strong_family_size(7) == 818_496
+
+    def test_scan_stops_once_every_remaining_map_is_covered(self):
+        # S6's strong family is 9 orbits; the last representative comes up
+        # early in rank 5, and the rest of the family is never walked
+        G = catalog.symmetric(6)
+        walked, checked = [], []
+
+        def maps():
+            for f in cl._strong_family(6):
+                walked.append(f)
+                yield f
+
+        def passing(f):
+            checked.append(f)
+            return True, None
+
+        size = cl._strong_family_size(6)
+        assert cl._scan(G, maps(), size, passing) == (True, None, size)
+        assert len(checked) == 9
+        assert walked[-1] == checked[-1]
+        assert len(walked) < size
 
     def test_idempotent_orbits_are_conjugation_orbits(self):
         # the G x G orbit of an idempotent of rank n-1 meets that family
