@@ -1,140 +1,91 @@
-"""Hot numeric kernels: subset-graph BFS, reset words, the pair table and
-partition refinement.
+"""Hot numeric kernels: the power-set walk, reset words, the pair table
+and partition refinement, in plain Python and numpy.
 
-The BFS kernels are compiled with numba when available; setting
-SYNCPRIM_NO_NUMBA=1 (or a missing numba install) selects the pure-Python
-fallback with identical semantics.  Partition refinement (Hopcroft's
-algorithm, moore_refine) is plain Python over array('i') buffers on both
-paths.  benchmarks/bench_kernels.py times the kernels.
+image_table is the one place that knows how a letter acts on a subset
+bitmask: it tabulates every letter's image of every mask, so the
+breadth-first walk over the power set (subset_reach) is a table lookup
+per transition, and the reset-word search reads its answer off that walk.
+The pair table (pair_merge_table) is a backward BFS over state pairs that
+never builds the power set.  Partition refinement (Hopcroft's algorithm,
+moore_refine) runs over flat array('i') buffers.
+benchmarks/bench_kernels.py times the kernels.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("SYNCPRIM_NO_NUMBA", "").lower() not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+# There is no compiled backend; the flag stays because perfbench/run.py
+# reads it to name the backend in its environment record.
+USE_NUMBA = False
 
 
-@njit(cache=True)
+def image_table(letters, n):
+    """img[l, m], the image of subset mask m under letter l, for all 2^n
+    masks, as an (L, 2^n) int32 array.
+
+    letters: (L, n) int array of point images.  Filled by doubling on the
+    top bit: the masks in [2^i, 2^(i+1)) are the masks below 2^i plus
+    point i, so their images are those images plus the image of i.
+    """
+    letters = np.asarray(letters)
+    img = np.zeros((letters.shape[0], 1 << n), np.int32)
+    for i in range(n):
+        img[:, 1 << i : 2 << i] = img[:, : 1 << i] | (1 << letters[:, i, None]).astype(np.int32)
+    return img
+
+
 def subset_reach(letters, n):
     """BFS over subset bitmasks from the full set.
 
-    letters: (L, n) int64 array of point images.
-    Returns (states, trans): masks in BFS order (full set first) and the
-    per-state per-letter successor indices.
+    letters: (L, n) int array of point images.
+    Returns (states, trans): masks in BFS order (full set first) as int64,
+    and the (S, L) int32 per-state per-letter successor indices.
     """
-    L = letters.shape[0]
-    size = 1 << n
-    full = size - 1
-    index = np.full(size, -1, np.int32)
-    states = np.empty(size, np.int64)
-    trans = np.empty((size, L), np.int32)
-    states[0] = full
+    L = len(letters)
+    tab = [memoryview(row) for row in image_table(letters, n)]
+    full = (1 << n) - 1
+    index = array("i", [-1]) * (1 << n)
     index[full] = 0
-    count = 1
-    head = 0
-    while head < count:
-        s = states[head]
-        for l in range(L):
-            img = 0
-            m = s
-            i = 0
-            while m:
-                if m & 1:
-                    img |= 1 << letters[l, i]
-                m >>= 1
-                i += 1
-            t = index[img]
+    states = array("i", [full])
+    trans = array("i")
+    for s in states:  # the array grows while it is iterated: a queue
+        for row in tab:
+            m = row[s]
+            t = index[m]
             if t < 0:
-                t = count
-                index[img] = t
-                states[count] = img
-                count += 1
-            trans[head, l] = t
-        head += 1
-    return states[:count].copy(), trans[:count].copy()
+                t = index[m] = len(states)
+                states.append(m)
+            trans.append(t)
+    return np.frombuffer(states, np.int32).astype(np.int64), np.frombuffer(trans, np.int32).reshape(-1, L)
 
 
-@njit(cache=True)
 def reset_word_bfs(letters, n):
     """Shortest word collapsing the full set to a singleton.
 
-    BFS in word-lexicographic order, so the first singleton found carries
-    the lexicographically smallest word among the minimum-length ones.
-    Returns an int32 letter array, or length-1 [-1] when not synchronizing.
+    Read off subset_reach's BFS: the goal is the first singleton state, and
+    a state's parent is its first occurrence in the row-major transition
+    table (parent, then letter).  So the word is the lexicographically
+    smallest among the minimum-length ones.  Returns an int32 letter array,
+    or length-1 [-1] when not synchronizing.
     """
-    L = letters.shape[0]
-    size = 1 << n
-    full = size - 1
-    if n == 1:
-        return np.empty(0, np.int32)
-    prev = np.full(size, -1, np.int32)
-    prev_letter = np.full(size, -1, np.int32)
-    visited = np.zeros(size, np.uint8)
-    queue = np.empty(size, np.int64)
-    queue[0] = full
-    visited[full] = 1
-    count = 1
-    head = 0
-    goal = np.int64(-1)
-    while head < count and goal < 0:
-        s = queue[head]
-        for l in range(L):
-            img = 0
-            m = s
-            i = 0
-            while m:
-                if m & 1:
-                    img |= 1 << letters[l, i]
-                m >>= 1
-                i += 1
-            if visited[img] == 0:
-                visited[img] = 1
-                prev[img] = s
-                prev_letter[img] = l
-                if img & (img - 1) == 0:
-                    goal = img
-                    break
-                queue[count] = img
-                count += 1
-        head += 1
-    if goal < 0:
-        out = np.empty(1, np.int32)
-        out[0] = -1
-        return out
-    length = 0
-    s = goal
-    while s != full:
-        length += 1
-        s = prev[s]
-    word = np.empty(length, np.int32)
-    s = goal
-    for k in range(length):
-        word[length - 1 - k] = prev_letter[s]
-        s = prev[s]
-    return word
+    states, trans = subset_reach(letters, n)
+    single = np.flatnonzero((states & (states - 1)) == 0)
+    if not len(single):
+        return np.array([-1], np.int32)
+    targets, first = np.unique(trans.ravel(), return_index=True)
+    pos = np.empty(len(states), np.int64)
+    pos[targets] = first
+    word = []
+    t = single[0]
+    while t:
+        t, letter = divmod(int(pos[t]), trans.shape[1])
+        word.append(letter)
+    return np.array(word[::-1], np.int32)
 
 
-@njit(cache=True)
 def pair_merge_table(letters, n):
     """For every unordered state pair, whether some word merges it.
 

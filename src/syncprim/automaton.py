@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import perm
-from ._kernels import moore_refine, pair_merge_table, reset_word_bfs, subset_reach
+from ._kernels import image_table, moore_refine, pair_merge_table, reset_word_bfs, subset_reach
 from .group import GroupSpec
 from .perm import ParseError, Transformation
 
@@ -197,7 +197,8 @@ def _collapse_refinement(A: SemiAutomaton, masks: list[int]) -> np.ndarray:
 
     States are the masks plus one absorbing sink entered when an image
     drops out of the mask list (i.e. becomes a singleton).  Returns the
-    labels of the masks, aligned to `masks`.
+    labels of the masks, aligned to `masks`.  Used on the C(n,2)
+    2-subsets, so it never builds a 2^n table.
     """
     index = {m: i for i, m in enumerate(masks)}
     sink = len(masks)
@@ -208,9 +209,21 @@ def _collapse_refinement(A: SemiAutomaton, masks: list[int]) -> np.ndarray:
             img = t.apply_mask(m)
             trans[i, l] = index.get(img, sink)
     trans[sink] = sink
+    return _sink_refinement(trans, sink)
+
+
+def _sink_refinement(trans: np.ndarray, sink: int) -> np.ndarray:
+    """Refinement labels of a collapse DFA whose last state, sink, is the
+    only accepting one; returns the labels of the states before it."""
     init = np.zeros(sink + 1, dtype=np.int64)
     init[sink] = 1
     return moore_refine(trans, init)[:sink]
+
+
+def _nonempty_subset_trans(A: SemiAutomaton) -> np.ndarray:
+    """Transitions between all nonempty masks 1..2^n-1, where mask m is
+    state m - 1; a letter's image of a nonempty mask is nonempty."""
+    return image_table(A.letter_array(), A.degree)[:, 1:].T - 1
 
 
 def _all_2subset_masks(n: int) -> list[int]:
@@ -275,7 +288,10 @@ def all_nonsingleton_distinguishable_witness(
     masks = _nonsingleton_masks(A.degree)
     if len(masks) < 2:
         return True, None
-    labels = _collapse_refinement(A, masks)
+    # the collapse DFA over all non-singletons is the merged Syn-DFA of the
+    # whole power set: kept rows in mask order, then the sink
+    trans, sink = _merged_syn_dfa(np.arange(1, 1 << A.degree), _nonempty_subset_trans(A))
+    labels = _sink_refinement(trans, sink)
     seen: dict[int, int] = {}
     for i, m in enumerate(masks):
         lab = int(labels[i])
@@ -300,16 +316,9 @@ def different_cardinality_reachable_witness(
     every word, i.e. when partition refinement with the cardinality as
     the initial label cannot separate them."""
     _check_subset_cap(A)
-    n = A.degree
-    masks = list(range(1, 1 << n))
-    index = {m: i for i, m in enumerate(masks)}
-    L = len(A.letters)
-    trans = np.empty((len(masks), L), dtype=np.int32)
-    for i, m in enumerate(masks):
-        for l, t in enumerate(A.letters):
-            trans[i, l] = index[t.apply_mask(m)]
+    masks = range(1, 1 << A.degree)
     init = np.array([bin(m).count("1") for m in masks], dtype=np.int64)
-    labels = moore_refine(trans, init)
+    labels = moore_refine(_nonempty_subset_trans(A), init)
     seen: dict[int, int] = {}
     for i, m in enumerate(masks):
         if not m & (m - 1):

@@ -32,8 +32,11 @@ def _read(path: str) -> str:
 def _emit(doc: dict, out: str | None):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -68,10 +71,16 @@ def _cmd_search(args) -> int:
     degrees = _parse_degrees(args.degrees)
     if args.resume and not args.out:
         raise ParseError("--resume needs --out, the records file to resume")
-    skip = harness.completed_names(args.out) if args.resume else None
+    try:
+        skip = harness.completed_names(args.out) if args.resume else None
+    except OSError as exc:
+        raise ParseError(f"cannot read {args.out}: {exc}") from exc
     records = harness.search_strongly_sync_maximal(degrees, skip_names=skip)
     if args.out:
-        count = harness.write_records(records, args.out, timings=args.timings)
+        try:
+            count = harness.write_records(records, args.out, timings=args.timings)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {count} records to {args.out}")
     else:
         for rec in records:

@@ -44,6 +44,90 @@ def moore_oracle(trans, init_labels):
         n_classes = int(labels.max()) + 1
 
 
+def subset_reach_oracle(letters, n):
+    """Independent oracle for _kernels.subset_reach: the same BFS, applying
+    each letter to a mask bit by bit instead of through the image table."""
+    L = letters.shape[0]
+    size = 1 << n
+    full = size - 1
+    index = np.full(size, -1, np.int32)
+    states = np.empty(size, np.int64)
+    trans = np.empty((size, L), np.int32)
+    states[0] = full
+    index[full] = 0
+    count = 1
+    head = 0
+    while head < count:
+        s = states[head]
+        for l in range(L):
+            img = 0
+            m = s
+            i = 0
+            while m:
+                if m & 1:
+                    img |= 1 << letters[l, i]
+                m >>= 1
+                i += 1
+            t = index[img]
+            if t < 0:
+                t = count
+                index[img] = t
+                states[count] = img
+                count += 1
+            trans[head, l] = t
+        head += 1
+    return states[:count].copy(), trans[:count].copy()
+
+
+def reset_word_oracle(letters, n):
+    """Independent oracle for _kernels.reset_word_bfs: its own BFS with
+    parent pointers, stopping at the first singleton it meets.  Returns the
+    word as a list, or None when no singleton is reachable."""
+    L = letters.shape[0]
+    size = 1 << n
+    full = size - 1
+    if n == 1:
+        return []
+    prev = np.full(size, -1, np.int64)
+    prev_letter = np.full(size, -1, np.int32)
+    visited = np.zeros(size, np.uint8)
+    queue = np.empty(size, np.int64)
+    queue[0] = full
+    visited[full] = 1
+    count = 1
+    head = 0
+    goal = -1
+    while head < count and goal < 0:
+        s = queue[head]
+        for l in range(L):
+            img = 0
+            m = s
+            i = 0
+            while m:
+                if m & 1:
+                    img |= 1 << letters[l, i]
+                m >>= 1
+                i += 1
+            if visited[img] == 0:
+                visited[img] = 1
+                prev[img] = s
+                prev_letter[img] = l
+                if img & (img - 1) == 0:
+                    goal = img
+                    break
+                queue[count] = img
+                count += 1
+        head += 1
+    if goal < 0:
+        return None
+    word = []
+    s = goal
+    while s != full:
+        word.append(int(prev_letter[s]))
+        s = prev[s]
+    return word[::-1]
+
+
 def partition(labels):
     """The partition a labelling induces, independent of the label values."""
     blocks = {}
@@ -194,6 +278,55 @@ class TestSubsetAutomaton:
     def test_degree_cap(self):
         with pytest.raises(am.DegreeCapError):
             am.build_subset_automaton(SemiAutomaton(30, (perm.identity(30),)))
+
+
+@st.composite
+def automata(draw):
+    """Automata with 1-10 states and 1-4 letters; a letter is the
+    identity, a permutation or an arbitrary map, so identity-only and
+    non-synchronizing automata come up often."""
+    n = draw(st.integers(1, 10), label="states")
+    points = list(range(n))
+    letter = st.one_of(
+        st.just(points),
+        st.permutations(points),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    )
+    letters = draw(st.lists(letter, min_size=1, max_size=4), label="letters")
+    return SemiAutomaton(n, tuple(Transformation(tuple(image)) for image in letters))
+
+
+class TestPowerSetWalk:
+    """The table-driven power-set walk against bit-loop oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(automata())
+    def test_matches_bit_loop_oracles(self, A):
+        n, letters = A.degree, A.letter_array()
+        img = _kernels.image_table(letters, n)
+        assert img.shape == (len(A.letters), 1 << n) and img.dtype == np.int32
+        for l, letter in enumerate(A.letters):
+            assert img[l].tolist() == [letter.apply_mask(m) for m in range(1 << n)]
+        states, trans = _kernels.subset_reach(letters, n)
+        want_states, want_trans = subset_reach_oracle(letters, n)
+        for got, want in ((states, want_states), (trans, want_trans)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert am.shortest_reset_word(A) == reset_word_oracle(letters, n)
+        if n >= 3:
+            # condition 4's collapse DFA, read off the image table, against
+            # the mask-by-mask construction
+            masks = am._nonsingleton_masks(n)
+            trans, sink = am._merged_syn_dfa(np.arange(1, 1 << n), am._nonempty_subset_trans(A))
+            assert partition(am._sink_refinement(trans, sink)) == partition(am._collapse_refinement(A, masks))
+
+    def test_reset_word_takes_the_first_parent(self):
+        # {0} is reached from {0,1,2} under letter 0, and later from {0,1};
+        # the word must follow the first, row-major occurrence
+        A = SemiAutomaton(3, (t(0, 0, 0), t(0, 0, 1)))
+        assert am.shortest_reset_word(A) == [0]
+        # {1,2} is reached from {0,1,2} under letters 0 and 1
+        A = SemiAutomaton(3, (t(1, 1, 2), t(2, 1, 2), t(0, 1, 1)))
+        assert am.shortest_reset_word(A) == reset_word_oracle(A.letter_array(), 3) == [0, 2]
 
 
 class TestCompletelyReachable:

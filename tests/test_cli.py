@@ -155,6 +155,19 @@ class TestSearchCommand:
         assert code == 2
         assert "degree range" in err
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        dest = str(tmp_path / "missing" / "records.jsonl")
+        code, out, err = run(capsys, "search", "--degrees", "3..3", "--out", dest)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {dest}: ")
+
+    def test_resume_from_a_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "search", "--degrees", "3..3", "--out", str(tmp_path), "--resume")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+
 
 class TestSynDfaCommand:
     def test_cerny4(self, capsys, cerny4_aut):
@@ -183,6 +196,13 @@ class TestSynDfaCommand:
         doc = json.loads(out)
         assert doc["reset_word"] == "199"
         assert doc["reset_word_length"] == 1
+
+    def test_unwritable_out_exits_2(self, capsys, cerny4_aut, tmp_path):
+        dest = str(tmp_path / "missing" / "x.json")
+        code, out, err = run(capsys, "syn-dfa", cerny4_aut, "--out", dest)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {dest}: ")
 
 
 class TestWitnessCommand:
