@@ -7,8 +7,11 @@ breadth-first walk over the power set (subset_reach) is a table lookup
 per transition, and the reset-word search reads its answer off that walk.
 The pair table (pair_merge_table) is a backward BFS over state pairs that
 never builds the power set.  Partition refinement (Hopcroft's algorithm,
-moore_refine) runs over flat array('i') buffers.
-benchmarks/bench_kernels.py times the kernels.
+moore_refine) has two paths that give the same partition: a Python loop
+over flat array('i') buffers for small tables, and a numpy version that
+splits on a whole worklist per round for tables of ROUNDS_MIN_ROWS rows
+or more, such as the Syn-DFA tables of the power set.
+benchmarks/bench_kernels.py times the kernels and both refinement paths.
 """
 
 from __future__ import annotations
@@ -151,11 +154,15 @@ def pair_merge_table(letters, n):
     return good
 
 
-def _buffer(values) -> array:
-    """An array('i') holding the given integers."""
-    out = array("i")
-    out.frombytes(np.ascontiguousarray(values, dtype=np.int32).tobytes())
-    return out
+# Tables with at least this many rows are refined by _refine_rounds, smaller
+# ones by _refine_loop.  A round of _refine_rounds costs a fixed few dozen
+# numpy calls per letter, so it wins where the loop's per-preimage Python
+# work outweighs that.  Measured crossovers: about 1 000 rows on the Syn-DFA
+# tables of random automata and the cardinality tables of condition 5,
+# about 2 000 on the Syn-DFA and collapse tables of S_n plus an idempotent,
+# 4 000 to 8 000 on those of D_n and the Cerny automaton, which refine in
+# many small rounds.
+ROUNDS_MIN_ROWS = 2048
 
 
 def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
@@ -167,6 +174,57 @@ def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     Returns one label per state.  Labels are compact ints 0..k-1 and
     deterministic for a given input, but otherwise opaque: callers compare
     them for equality and take their max.
+
+    Tables of ROUNDS_MIN_ROWS rows or more go to _refine_rounds, smaller
+    ones to _refine_loop; both give the same partition.  The name predates
+    the algorithm: perfbench traces the kernel under it, and the tests keep
+    Moore's algorithm as an oracle.
+    """
+    refine = _refine_rounds if len(trans) >= ROUNDS_MIN_ROWS else _refine_loop
+    return refine(trans, init_labels)
+
+
+def _initial_partition(trans, init_labels):
+    """The start shared by both refinement paths.
+
+    Returns the initial labels made compact (block ids 0..k-1), the size
+    of each initial block, and as int32 arrays: elems, the states sorted
+    by label; loc, the position of each state in elems; first and end,
+    one entry per state, with block b at elems[first[b]:end[b]] and zeros
+    past the initial blocks; and per letter l the preimages in CSR layout,
+    pre[l][off[l][s]:off[l][s + 1]] being the states l sends to s.
+    """
+    trans = np.asarray(trans)
+    labels = np.unique(np.asarray(init_labels), return_inverse=True)[1].reshape(-1).astype(np.int32)
+    S = len(labels)
+    sizes = np.bincount(labels, minlength=1)
+    elems = np.argsort(labels, kind="stable").astype(np.int32)
+    loc = np.empty(S, np.int32)
+    loc[elems] = np.arange(S, dtype=np.int32)
+    first = np.zeros(S, np.int32)
+    end = np.zeros(S, np.int32)
+    if S:
+        np.cumsum(sizes, out=end[: len(sizes)])
+        first[1 : len(sizes)] = end[: len(sizes) - 1]
+    pre, off = [], []
+    for target in trans.T:
+        pre.append(np.argsort(target, kind="stable").astype(np.int32))
+        offsets = np.zeros(S + 1, np.int32)
+        np.cumsum(np.bincount(target, minlength=S), out=offsets[1:])
+        off.append(offsets)
+    return labels, sizes, elems, loc, first, end, pre, off
+
+
+def _buffer(values) -> array:
+    """An array('i') holding the given integers."""
+    out = array("i")
+    out.frombytes(np.ascontiguousarray(values, dtype=np.int32).tobytes())
+    return out
+
+
+def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
+    """Hopcroft's algorithm, one Python step per preimage, over array('i')
+    buffers: the fast path for small tables.
 
     The partition is a flat refinable partition (Valmari & Lehtinen,
     "Efficient minimization of DFAs with partial transition functions",
@@ -182,50 +240,32 @@ def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     one of its parts gives stability under the other part.  The initial
     worklist is every initial block but a largest one, for the same
     reason: a complete DFA is trivially stable under the whole state set.
-
-    The name predates the algorithm: perfbench traces the kernel under
-    it, and the tests keep Moore's algorithm as an oracle.
+    Preimages in a singleton block are skipped, since it cannot split, and
+    the loop stops once every block is a singleton.
     """
-    trans = np.asarray(trans)
-    labels = np.unique(np.asarray(init_labels), return_inverse=True)[1].reshape(-1)
-    S, L = trans.shape
+    labels, sizes, elems, loc, first, end, pre, off = _initial_partition(trans, init_labels)
+    S = len(labels)
     if S == 0:
-        return labels
-    sizes = np.bincount(labels)
-    k = len(sizes)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.zeros(S + 1, np.int64)
-    bounds[1 : k + 1] = np.cumsum(sizes)
-    loc = np.empty(S, np.int64)
-    loc[order] = np.arange(S)
-    elems, loc, sidx = _buffer(order), _buffer(loc), _buffer(labels)
-    first, end = _buffer(bounds[:S]), _buffer(bounds[1:])
+        return labels.astype(np.int64)
+    elems, loc, first, end, sidx = map(_buffer, (elems, loc, first, end, labels))
+    pre, off = [_buffer(x) for x in pre], [_buffer(x) for x in off]
     mid = array("i", first)
-    # preimages per letter in CSR layout: pre[l][off[l][s]:off[l][s + 1]]
-    # are the states that letter l sends to s
-    pre, off = [], []
-    for l in range(L):
-        target = trans[:, l]
-        pre.append(_buffer(np.argsort(target, kind="stable")))
-        offsets = np.zeros(S + 1, np.int64)
-        np.cumsum(np.bincount(target, minlength=S), out=offsets[1:])
-        off.append(_buffer(offsets))
+    k = len(sizes)
     largest = int(np.argmax(sizes))
     worklist = [b for b in range(k) if b != largest]
     count = k
     touched = []
-    while worklist:
+    while worklist and count < S:
         c = worklist.pop()
         # a copy: marking swaps states inside c itself
         splitter = elems[first[c] : end[c]]
-        for l in range(L):
-            pre_l, off_l = pre[l], off[l]
+        for pre_l, off_l in zip(pre, off):
             for s in splitter:
                 for p in pre_l[off_l[s] : off_l[s + 1]]:
                     b = sidx[p]
                     m = mid[b]
                     i = loc[p]
-                    if i >= m:
+                    if i >= m and end[b] - first[b] > 1:
                         if m == first[b]:
                             touched.append(b)
                         q = elems[m]
@@ -251,4 +291,135 @@ def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
                 worklist.append(count)
                 count += 1
             touched.clear()
+            if count == S:
+                break
     return np.frombuffer(sidx, dtype=np.int32).astype(np.int64)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(s, s + c) over paired starts and counts."""
+    ends = counts.cumsum(dtype=np.int64)
+    out = np.arange(ends[-1] if len(ends) else 0, dtype=np.int32)
+    out += (starts - ends + counts).astype(np.int32).repeat(counts)
+    return out
+
+
+def _refine_rounds(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
+    """Hopcroft's algorithm with a batched worklist, in numpy: the fast path
+    for large tables.
+
+    The partition is laid out as in _refine_loop (elems, loc, block,
+    first, end).  Each round takes every worklist block as a splitter, with
+    its states fixed at the round start.  Letter by letter, it gathers the
+    preimages of all splitter states through the CSR arrays, keys each
+    preimage by (its current block, the splitter its successor lies in),
+    and sorts the keys once.  Every touched block then splits into its key
+    groups plus the untouched remainder: states with successors in
+    different splitters, or in a splitter and outside all of them, are
+    inequivalent.  The touched states move to the tail of their block's
+    range in key order, so every part stays contiguous.  The remainder
+    keeps the block id; when nothing is untouched, the first group keeps
+    it.  A block still on the worklist pushes all its new parts; any other
+    block pushes all parts but a largest one, by the same argument as in
+    _refine_loop.  Preimages in singleton blocks are dropped, and the
+    rounds stop when the worklist is empty or every block is a singleton.
+    The work is O(m log n) elements, plus a fixed number of numpy calls
+    per round and letter.
+    """
+    block, sizes, elems, loc, first, end, pre, off = _initial_partition(trans, init_labels)
+    S = len(block)
+    if S == 0:
+        return block.astype(np.int64)
+    k = len(sizes)
+    on_work = np.zeros(S, bool)
+    on_work[:k] = True
+    on_work[np.argmax(sizes)] = False
+    marked = np.zeros(S, bool)
+    count = k
+    while count < S:
+        work = np.flatnonzero(on_work[:count])
+        if not len(work):
+            break
+        on_work[work] = False
+        wsize = end[work] - first[work]
+        splitter = elems[_ranges(first[work], wsize)]
+        which = np.arange(len(work), dtype=np.int32).repeat(wsize)
+        for pre_l, off_l in zip(pre, off):
+            lo = off_l[splitter]
+            n_pre = off_l[splitter + 1] - lo
+            p = pre_l[_ranges(lo, n_pre)]
+            b = block[p]
+            live = end[b] - first[b] > 1
+            # key: (block, splitter index), one int64
+            key = b[live].astype(np.int64) * len(work) + which.repeat(n_pre)[live]
+            if not len(key):
+                continue
+            order = key.argsort()
+            key, p, b = key[order], p[live][order], b[live][order]
+            count = _split(key, p, b, elems, loc, block, first, end, on_work, marked, count)
+            if count == S:
+                break
+    return block.astype(np.int64)
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start index and the length of each run of equal values."""
+    change = np.empty(len(values) + 1, bool)
+    change[0] = change[-1] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:-1])
+    bounds = change.nonzero()[0]
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
+def _split(key, p, b, elems, loc, block, first, end, on_work, marked, count):
+    """One letter's splits in _refine_rounds: p are the touched states
+    sorted by key, b their blocks.  Updates the partition and the worklist
+    in place and returns the new block count.  A block whose states are
+    all touched and share one key comes through unchanged."""
+    bstart, n_touched = _runs(b)
+    gstart, gsize = _runs(key)
+    tb = b[bstart]
+    rest = end[tb] - first[tb] - n_touched
+    if len(gstart) == len(bstart) and not rest.any():
+        return count
+    # move the touched states to the tail of their block, in key order
+    tail = end[tb] - n_touched
+    dest = _ranges(tail, n_touched)
+    marked[p] = True
+    occupant = elems[dest]
+    displaced = occupant[~marked[occupant]]
+    marked[p] = False
+    cur = loc[p]
+    vacated = cur[cur < tail.repeat(n_touched)]
+    elems[vacated] = displaced
+    loc[displaced] = vacated
+    elems[dest] = p
+    loc[p] = dest
+    # every group is a new block, but the first group of a block with no
+    # untouched remainder keeps the block id
+    first_group = np.searchsorted(gstart, bstart)
+    owner = np.zeros(len(gstart), np.int64)
+    owner[first_group[1:]] = 1
+    owner = owner.cumsum()
+    is_new = np.ones(len(gstart), bool)
+    is_new[first_group[rest == 0]] = False
+    n_new = int(is_new.sum())
+    gid = tb[owner]
+    gid[is_new] = np.arange(count, count + n_new, dtype=np.int32)
+    block[p] = gid.repeat(gsize)
+    new_first = dest[gstart[is_new]]
+    first[count : count + n_new] = new_first
+    end[count : count + n_new] = new_first + gsize[is_new]
+    kept_size = np.where(rest > 0, rest, gsize[first_group])
+    end[tb] = first[tb] + kept_size
+    # the worklist: a queued block pushes all its new parts, any other
+    # block all parts but a largest, leaving out the kept part if it is one
+    largest = np.maximum(rest, np.maximum.reduceat(gsize, first_group))
+    push_kept = ~on_work[tb] & (kept_size < largest)
+    on_work[count : count + n_new] = True
+    leave_out = (is_new & push_kept[owner] & (gsize == largest[owner])).nonzero()[0]
+    if len(leave_out):
+        firsts = leave_out[np.searchsorted(leave_out, first_group[push_kept])]
+        on_work[gid[firsts]] = False
+        on_work[tb[push_kept]] = True
+    return count + n_new

@@ -272,6 +272,30 @@ def _nonsingleton_masks(n: int) -> list[int]:
     return [m for m in range(1, 1 << n) if m & (m - 1)]
 
 
+def _popcounts(n: int) -> np.ndarray:
+    """The number of points in every mask below 2^n, filled by doubling on
+    the top bit like image_table."""
+    counts = np.zeros(1 << n, np.int8)
+    for i in range(n):
+        counts[1 << i : 2 << i] = counts[: 1 << i] + 1
+    return counts
+
+
+def _first_repeat(
+    masks: np.ndarray, labels: np.ndarray
+) -> tuple[bool, Optional[tuple[frozenset[int], frozenset[int]]]]:
+    """(True, None) when the masks' labels all differ.  Otherwise False and
+    a pair of sets: the first mask whose label already occurred, after the
+    first mask with that label."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    earlier = first[inverse.reshape(-1)]
+    repeats = np.flatnonzero(earlier != np.arange(len(labels)))
+    if not len(repeats):
+        return True, None
+    j = repeats[0]
+    return False, (mask_to_set(int(masks[earlier[j]])), mask_to_set(int(masks[j])))
+
+
 def all_nonsingleton_distinguishable(A: SemiAutomaton) -> bool:
     ok, _ = all_nonsingleton_distinguishable_witness(A)
     return ok
@@ -283,22 +307,16 @@ def all_nonsingleton_distinguishable_witness(
     """Whether every two distinct subsets of size >= 2 are distinguishable.
 
     Enumerates all 2^n - n - 1 non-singleton subsets, hence subject to the
-    power-set cap."""
+    power-set cap.  The witness pairs the first subset, in mask order,
+    that an earlier one cannot be told from with the first such earlier
+    subset."""
     _check_subset_cap(A)
-    masks = _nonsingleton_masks(A.degree)
-    if len(masks) < 2:
-        return True, None
+    masks = np.arange(1, 1 << A.degree)
+    big = (masks & (masks - 1)) != 0
     # the collapse DFA over all non-singletons is the merged Syn-DFA of the
     # whole power set: kept rows in mask order, then the sink
-    trans, sink = _merged_syn_dfa(np.arange(1, 1 << A.degree), _nonempty_subset_trans(A))
-    labels = _sink_refinement(trans, sink)
-    seen: dict[int, int] = {}
-    for i, m in enumerate(masks):
-        lab = int(labels[i])
-        if lab in seen:
-            return False, (mask_to_set(masks[seen[lab]]), mask_to_set(m))
-        seen[lab] = i
-    return True, None
+    trans, sink = _merged_syn_dfa(masks, _nonempty_subset_trans(A))
+    return _first_repeat(masks[big], _sink_refinement(trans, sink))
 
 
 def different_cardinality_reachable(A: SemiAutomaton) -> bool:
@@ -314,20 +332,14 @@ def different_cardinality_reachable_witness(
 
     Two subsets fail exactly when their image cardinalities agree under
     every word, i.e. when partition refinement with the cardinality as
-    the initial label cannot separate them."""
+    the initial label cannot separate them.  The witness is chosen as in
+    all_nonsingleton_distinguishable_witness."""
     _check_subset_cap(A)
-    masks = range(1, 1 << A.degree)
-    init = np.array([bin(m).count("1") for m in masks], dtype=np.int64)
-    labels = moore_refine(_nonempty_subset_trans(A), init)
-    seen: dict[int, int] = {}
-    for i, m in enumerate(masks):
-        if not m & (m - 1):
-            continue
-        lab = int(labels[i])
-        if lab in seen:
-            return False, (mask_to_set(masks[seen[lab]]), mask_to_set(m))
-        seen[lab] = i
-    return True, None
+    masks = np.arange(1, 1 << A.degree)
+    sizes = _popcounts(A.degree)[1:]
+    labels = moore_refine(_nonempty_subset_trans(A), sizes)
+    big = sizes > 1
+    return _first_repeat(masks[big], labels[big])
 
 
 def distinguish_witness(A: SemiAutomaton, S: frozenset[int], T: frozenset[int]) -> Optional[list[int]]:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncprim import _kernels, automaton as am, catalog, group as gr, perm
+from syncprim import _kernels, automaton as am, catalog, group as gr, harness, perm
 from syncprim.automaton import SemiAutomaton
 from syncprim.perm import Transformation
+from syncprim.rng import SplitMix64
 
 
 def t(*image):
@@ -490,6 +491,128 @@ class TestPartitionRefinement:
         for old, i in new.items():
             assert merged[i].tolist() == [new.get(j, acc) for j in sub.transitions[old]]
         assert merged[acc].tolist() == [acc] * len(A.letters)
+
+
+def nth_random_automaton(rng, n, letters, k):
+    """The k-th automaton harness.random_automaton draws from rng."""
+    for _ in range(k):
+        A = harness.random_automaton(rng, n, letters)
+    return A
+
+
+REFINE_PATHS = pytest.mark.parametrize(
+    "refine", [_kernels._refine_rounds, _kernels._refine_loop], ids=["rounds", "loop"]
+)
+
+
+class TestRefinementPaths:
+    """Both refinement paths on their own against the Moore oracle, since
+    moore_refine keeps small tables off the rounds path, and the dispatch
+    between them."""
+
+    @staticmethod
+    def check(refine, trans, init):
+        trans = np.asarray(trans, dtype=np.int32)
+        init = np.asarray(init, dtype=np.int64)
+        labels = refine(trans, init)
+        assert labels.shape == init.shape
+        assert sorted(set(labels.tolist())) == list(range(int(labels.max()) + 1))
+        assert partition(labels) == partition(moore_oracle(trans, init))
+        return labels
+
+    @REFINE_PATHS
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_complete_dfas(self, refine, data):
+        S = data.draw(st.integers(1, 40), label="states")
+        L = data.draw(st.integers(1, 3), label="letters")
+        K = data.draw(st.integers(1, 4), label="initial labels")
+        state = st.integers(0, S - 1)
+        trans = data.draw(st.lists(st.lists(state, min_size=L, max_size=L), min_size=S, max_size=S))
+        init = data.draw(st.lists(st.integers(0, K - 1), min_size=S, max_size=S))
+        self.check(refine, trans, init)
+
+    # the tables of TestPartitionRefinement's pinned cases
+    @REFINE_PATHS
+    @pytest.mark.parametrize(
+        "trans, init",
+        [
+            ([[0], [2], [1], [0]], [0, 1, 1, 0]),
+            ([[0, 0]], [7]),
+            ([[(i + 1) % 9, i // 2] for i in range(9)], [3] * 9),
+            ([[0, 0]] * 6, [5, 4, 3, 2, 1, 0]),
+            ([[(i + 1) % 12] for i in range(12)], [1] + [0] * 11),
+            ([[(i + 1) % 6] for i in range(6)], [1, 0] * 3),
+            ([[min(i + 1, 9)] for i in range(10)], [0] * 9 + [1]),
+        ],
+        ids=["own-preimage", "one-state", "one-class", "singletons", "12-cycle", "6-cycle", "chain"],
+    )
+    def test_pinned_cases(self, refine, trans, init):
+        self.check(refine, trans, init)
+
+    @REFINE_PATHS
+    def test_three_way_split_keeps_a_part_that_is_not_largest(self, refine):
+        # One letter.  States 0-5 start in one block, 6 and 7 in blocks of
+        # their own.  The first round splits {0..5} by successor into {0},
+        # {1, 2, 3} and the untouched remainder {4, 5}, which keeps the
+        # block id though {1, 2, 3} is larger; only the remainder, as a
+        # splitter, separates 4 (into {1, 2, 3}) from 5 (a self-loop).
+        trans = [[6], [7], [7], [7], [1], [5], [6], [7]]
+        labels = self.check(refine, trans, [0, 0, 0, 0, 0, 0, 1, 2])
+        assert partition(labels) == [[0], [1, 2, 3], [4], [5], [6], [7]]
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
+    def test_dispatch_at_the_threshold(self, offset, monkeypatch):
+        rows = _kernels.ROUNDS_MIN_ROWS + offset
+        rng = np.random.default_rng(rows)
+        trans = rng.integers(0, rows, (rows, 2)).astype(np.int32)
+        init = rng.integers(0, 3, rows)
+        called = []
+        for name in ("_refine_rounds", "_refine_loop"):
+            def spy(trans, init, name=name, refine=getattr(_kernels, name)):
+                called.append(name)
+                return refine(trans, init)
+            monkeypatch.setattr(_kernels, name, spy)
+        labels = _kernels.moore_refine(trans, init)
+        assert called == ["_refine_loop" if offset < 0 else "_refine_rounds"]
+        assert partition(labels) == partition(moore_oracle(trans, init))
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            am.cerny_automaton(11),
+            am.cerny_automaton(12),
+            # 3 786 rows once its singletons are merged
+            nth_random_automaton(SplitMix64(2021), 12, 3, 4),
+        ],
+        ids=["cerny-11", "cerny-12", "random-12"],
+    )
+    def test_merged_syn_dfa_tables_near_and_above_the_threshold(self, A):
+        merged, acc = am._merged_syn_dfa(*_kernels.subset_reach(A.letter_array(), A.degree))
+        assert len(merged) > _kernels.ROUNDS_MIN_ROWS - 100
+        init = np.zeros(len(merged), dtype=np.int64)
+        init[acc] = 1
+        want = partition(moore_oracle(merged, init))
+        for refine in (_kernels._refine_rounds, _kernels._refine_loop, _kernels.moore_refine):
+            assert partition(refine(merged, init)) == want
+
+
+class TestWitnessHelpers:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=12))
+    def test_first_repeat_matches_the_seen_dict_loop(self, labels):
+        masks = np.arange(3, 3 + len(labels))
+        seen, want = {}, (True, None)
+        for i, lab in enumerate(labels):
+            if lab in seen:
+                want = (False, (am.mask_to_set(int(masks[seen[lab]])), am.mask_to_set(int(masks[i]))))
+                break
+            seen[lab] = i
+        assert am._first_repeat(masks, np.array(labels, dtype=np.int64)) == want
+
+    def test_popcounts(self):
+        for n in range(11):
+            assert am._popcounts(n).tolist() == [bin(m).count("1") for m in range(1 << n)]
 
 
 class TestDistinguishability:
