@@ -1,7 +1,10 @@
 """Benchmark the hot kernels on the Černý automaton, and partition
 refinement on two merged Syn-DFA tables: the Černý automaton's and that
 of the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
-Each table is refined by moore_refine and by both of its paths.
+Each table is refined by moore_refine and by both of its paths.  One more
+row labels the degree-7 strong scan family (the 818 496 maps of rank 2..6)
+by orbit under S7 and under C7, as is_strongly_sync_maximal does before
+checking one map per orbit.
 
 Prints the best of R runs of each kernel, in milliseconds.
 
@@ -18,7 +21,8 @@ RANDOM_DEGREE = 16
 def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
     import numpy as np
 
-    from syncprim import _kernels
+    from syncprim import _kernels, catalog
+    from syncprim import classify as cl
     from syncprim.automaton import _merged_syn_dfa, cerny_automaton
     from syncprim.harness import random_automaton
     from syncprim.rng import SplitMix64
@@ -53,6 +57,13 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
         for path in ("_refine_rounds", "_refine_loop"):
             refine = getattr(_kernels, path)
             results.append((f"  {path}", best(lambda: refine(merged, init))))
+
+    def strong_representatives():
+        for G in (catalog.symmetric(7), catalog.cyclic(7)):
+            size, _, moves = cl._map_family(G, range(2, 7))
+            cl._orbit_labels(size, moves)
+
+    results.append(("strong-family orbit labels, S7 and C7", best(strong_representatives)))
     return results
 
 

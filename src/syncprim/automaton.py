@@ -47,12 +47,6 @@ class SemiAutomaton:
             mask = self.letters[x].apply_mask(mask)
         return mask
 
-    def word_transformation(self, word) -> Transformation:
-        t = perm.identity(self.degree)
-        for x in word:
-            t = perm.compose(self.letters[x], t)
-        return t
-
 
 @dataclass(frozen=True)
 class SubsetAutomaton:

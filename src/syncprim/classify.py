@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import mul
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from . import automaton as am
 from . import group as gr
@@ -22,11 +23,21 @@ from .perm import Transformation
 MODE_IDEMPOTENTS = "idempotents_only"
 MODE_ALL = "all_rank_n_minus_1"
 
-# The strong scan walks all maps of rank 2..n-1 and checks one per G x G
-# orbit; up to here that stays tractable.
+# The strong scan labels the maps of rank 2..n-1 by G x G orbit and checks
+# one per orbit; up to here that stays tractable.
 STRONG_SCAN_CAP = 7
+# The mode-all scans build a table over all n^n maps: 16.8 M at n = 8, 387 M
+# at n = 9.
+ALL_MAPS_CAP = 8
 
 REPORT_SCHEMA = "syncprim-report/1"
+
+# A scan family: its size, the map at a position, and the moves, one int32
+# array per generator move sending each position to the moved map's.
+Family = tuple[int, Callable[[int], Transformation], list[np.ndarray]]
+# A predicate's test of one map: whether it passes, and the witness's
+# details when it fails.
+Check = Callable[[Transformation], tuple[bool, Optional[dict]]]
 
 
 @dataclass
@@ -66,116 +77,125 @@ class ClassificationReport:
         }
 
 
-def family(G: GroupSpec, mode: str) -> Iterator[Transformation]:
-    """The quantifier family of rank n-1 maps selected by mode."""
-    if mode == MODE_IDEMPOTENTS:
-        return perm.enumerate_idempotents_rank_n_minus_1(G.degree)
-    if mode == MODE_ALL:
-        return perm.enumerate_rank_n_minus_1(G.degree)
-    raise ValueError(f"unknown mode {mode!r}")
+def _idempotent_family(G: GroupSpec) -> Family:
+    """The idempotents of rank n-1 in perm's order, with one move per
+    generator s: conjugation e -> s o e o s^-1.
+
+    e_(a->b) sends a to b and fixes the rest; it is keyed a*n + b, and
+    its conjugate by s is e_(s(a)->s(b)).  Left and right moves would walk
+    the whole G x G orbit, up to |G|^2 maps mostly outside this family;
+    conjugation stays inside it and still reaches the orbit's part of it,
+    because G x G orbits meet the family in conjugation orbits: let
+    e' = g e h be another such idempotent.  The image of e' is
+    g([n] - {a}), so e' moves g(a) and fixes every other point.  Its one
+    kernel class of size 2 is h^-1{a, b}, which e' sends to g(b); that
+    class holds g(a) and the fixed point e'(g(a)), so e' sends g(a) to
+    g(b), i.e. e' = g e g^-1.  The conjugates of e are the maps sending
+    g(a) to g(b), one per pair in the orbital of (a, b), and conjugation
+    by the generators reaches them all."""
+    n = G.degree
+    maps = list(perm.enumerate_idempotents_rank_n_minus_1(n))
+    images = np.array([e.image for e in maps], dtype=np.intp).reshape(-1, n)
+    a = (images != np.arange(n)).argmax(axis=1)
+    b = images[np.arange(len(maps)), a]
+    position = np.zeros(n * n, dtype=np.int32)
+    position[a * n + b] = np.arange(len(maps))
+    moves = [position[s[a] * n + s[b]] for s in np.array([s.image for s in G.generators])]
+    return len(maps), maps.__getitem__, moves
 
 
-def family_size(n: int, mode: str) -> int:
-    """The number of maps family(G, mode) yields at degree n, by formula
-    rather than by walking the family."""
-    if mode == MODE_IDEMPOTENTS:
-        return n * (n - 1)
-    if mode == MODE_ALL:
-        return perm.count_maps_of_rank(n, n - 1)
-    raise ValueError(f"unknown mode {mode!r}")
+def _map_family(G: GroupSpec, ranks) -> Family:
+    """All maps on [n] of the given ranks, rank by rank and lexicographic
+    within a rank, with the moves f -> s o f and f -> f o s for each
+    generator s.  The moves preserve rank, and since G is finite they
+    generate all of G x G, so their orbits are the orbits {g f h}.
 
+    The maps are held as int32 base-n codes (see perm.codes_of_ranks) and
+    one int8 digit plane per point, plane i holding f(i).  s o f maps
+    every plane through s; f o s permutes the planes, plane i of it being
+    plane s(i) of f.  A code -> position table over all n^n codes turns
+    the re-encoded maps into positions."""
+    n = G.degree
+    codes = perm.codes_of_ranks(n, ranks)
+    position = np.zeros(n**n, dtype=np.int32)
+    position[codes] = np.arange(len(codes), dtype=np.int32)
+    weights = [np.int32(n ** (n - 1 - i)) for i in range(n)]
+    planes = [(codes // w % n).astype(np.int8) for w in weights]
 
-def _strong_family(n: int) -> Iterator[Transformation]:
-    """All maps on [n] of rank 2..n-1, by rank, each rank lexicographic."""
-    for r in range(2, n):
-        yield from perm.enumerate_maps_of_rank(n, r)
+    def positions(images):
+        code = np.zeros(len(codes), dtype=np.int32)
+        for image, w in zip(images, weights):
+            code += w * image
+        return position[code]
 
-
-def _strong_family_size(n: int) -> int:
-    return sum(perm.count_maps_of_rank(n, r) for r in range(2, n))
-
-
-def _orbit(G: GroupSpec, start: tuple[int, ...], conjugate: bool) -> set[tuple[int, ...]]:
-    """The image arrays reachable from start by generator moves.
-
-    Without conjugate the moves are f -> s o f and f -> f o s for each
-    generator s.  They preserve rank, and since G is finite they generate
-    all of G x G, so on a family of all maps of some ranks they reach the
-    whole orbit {g f h : g, h in G}.
-
-    With conjugate the move is f -> s^-1 o f o s, for the family of
-    idempotents of rank n-1.  Left and right moves would walk the whole
-    G x G orbit, up to |G|^2 maps mostly outside that family; conjugation
-    stays inside it and still reaches the orbit's part of it, because
-    G x G orbits meet the family in conjugation orbits: let e send a to
-    b and fix the rest, and let e' = g e h be another such idempotent.  The
-    image of e' is g([n] - {a}), so e' moves g(a) and fixes every other
-    point.  Its one kernel class of size 2 is h^-1{a, b}, which e' sends to
-    g(b); that class holds g(a) and the fixed point e'(g(a)), so e' sends
-    g(a) to g(b), i.e. e' = g e g^-1.  The conjugates of e are the maps
-    sending g(a) to g(b), one per pair in the orbital of (a, b), and
-    conjugation by the generators reaches them all."""
     moves = []
     for s in G.generators:
-        if conjugate:
-            inv = perm.inverse(s).image.__getitem__
-            moves.append(lambda t, s=s.image, inv=inv: tuple(map(inv, map(t.__getitem__, s))))
-        else:
-            moves.append(lambda t, left=s.image.__getitem__: tuple(map(left, t)))
-            moves.append(lambda t, s=s.image: tuple(map(t.__getitem__, s)))
-    seen = {start}
-    stack = [start]
-    while stack:
-        t = stack.pop()
+        left = np.array(s.image, dtype=np.int8)
+        moves.append(positions(left[plane] for plane in planes))
+        moves.append(positions(planes[j] for j in s.image))
+    return len(codes), lambda i: Transformation(tuple(int(plane[i]) for plane in planes)), moves
+
+
+def _family(G: GroupSpec, mode: str) -> Family:
+    """The quantifier family of rank n-1 maps selected by mode."""
+    if mode == MODE_IDEMPOTENTS:
+        return _idempotent_family(G)
+    if mode == MODE_ALL:
+        return _map_family(G, [G.degree - 1])
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _orbit_labels(size: int, moves: list[np.ndarray]) -> np.ndarray:
+    """The first position of every map's orbit, for a family of size maps
+    whose moves are permutations of the positions 0..size-1 generating the
+    group that acts on it.
+
+    label[i] starts at i and only ever takes positions of i's orbit no
+    greater than i: label = min(label, label[move]) for every move, then
+    label = label[label], until nothing changes.  At that point
+    label[i] <= label[move[i]] for every i and move; a move's cycle
+    through i leads back to i, so label is constant along it, hence on
+    the whole orbit, and the constant is the orbit's first position m
+    since m <= label[m] <= m."""
+    label = np.arange(size, dtype=np.int32)
+    while True:
+        before = label
         for move in moves:
-            u = move(t)
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+            label = np.minimum(label, label[move])
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
 
 
-def _scan(
-    G: GroupSpec,
-    maps: Iterable[Transformation],
-    size: int,
-    check: Callable[[Transformation], tuple[bool, Optional[dict]]],
-    conjugate: bool = False,
-) -> tuple[bool, Optional[dict], int]:
-    """Run check over one map per G x G orbit of the family; the first
-    counterexample in enumeration order wins.
+def _scan(family: Family, check: Check) -> tuple[bool, Optional[dict], int]:
+    """Run check over one map per orbit of the family; the first
+    counterexample in family order wins.
 
     Every predicate depends only on the monoid <G, f>, and <G, f> =
     <G, g f h> for g, h in G, so check gives the same verdict on a whole
-    orbit.  The scan walks the family in enumeration order and checks a
-    map only if no earlier checked map's orbit (see _orbit) covered it.
-    The first failing map is the first of its orbit, so it is always
-    checked: the witness is the one a map-by-map scan finds, and scanned
-    is that map's index + 1, or size, the number of maps in the family,
-    when all pass.  The scan stops as soon as every map not met yet is
-    covered, since those all pass."""
-    n = G.degree
-    weights = [n ** (n - 1 - i) for i in range(n)]
-    # base-n codes of maps covered but not met yet; each map is met once,
-    # so a code leaves the set when its map comes up
-    covered: set[int] = set()
-    for i, f in enumerate(maps):
-        code = sum(map(mul, f.image, weights))
-        if code in covered:
-            covered.remove(code)
-            continue
+    orbit.  The scan checks, in family order, the maps that come first in
+    their orbit (see _orbit_labels).  The first failing map is the first
+    of its orbit, so it is always checked: the witness is the one a
+    map-by-map scan finds, and scanned is that map's position + 1, or the
+    family's size when all pass."""
+    size, map_at, moves = family
+    label = _orbit_labels(size, moves)
+    for i in np.flatnonzero(label == np.arange(size)).tolist():
+        f = map_at(i)
         ok, extra = check(f)
         if not ok:
             witness = {"f": perm.format_image(f)}
             if extra:
                 witness.update(extra)
             return False, witness, i + 1
-        orbit = _orbit(G, f.image, conjugate)
-        orbit.remove(f.image)
-        covered.update(sum(map(mul, t, weights)) for t in orbit)
-        if len(covered) == size - (i + 1):
-            break
     return True, None, size
+
+
+def _scan_mode(G: GroupSpec, mode: str, check: Check) -> PredicateResult:
+    n = G.degree
+    if mode == MODE_ALL and n > ALL_MAPS_CAP:
+        return PredicateResult(None, reason=f"all-map table infeasible: {n}^{n} = {n**n} maps")
+    return PredicateResult(*_scan(_family(G, mode), check))
 
 
 def _timed(func):
@@ -192,19 +212,12 @@ def is_sync_maximal(G: GroupSpec, mode: str = MODE_IDEMPOTENTS) -> PredicateResu
         n = G.degree
         if n > am.SUBSET_CAP:
             return PredicateResult(None, reason=f"degree {n} exceeds power-set cap")
-        ok, witness, scanned = _scan(
-            G,
-            family(G, mode),
-            family_size(n, mode),
-            _sync_maximal_check(G),
-            conjugate=mode == MODE_IDEMPOTENTS,
-        )
-        return PredicateResult(ok, witness, scanned)
+        return _scan_mode(G, mode, _sync_maximal_check(G))
 
     return _timed(run)
 
 
-def _sync_maximal_check(G: GroupSpec) -> Callable[[Transformation], tuple[bool, Optional[dict]]]:
+def _sync_maximal_check(G: GroupSpec) -> Check:
     target = (1 << G.degree) - G.degree
 
     def check(f):
@@ -214,7 +227,16 @@ def _sync_maximal_check(G: GroupSpec) -> Callable[[Transformation], tuple[bool, 
     return check
 
 
-def _condition_check(G: GroupSpec, index: int) -> Callable[[Transformation], tuple[bool, Optional[dict]]]:
+# conditions 3-6: the automaton function returning (ok, first indistinguishable pair)
+_PAIR_CHECKS = {
+    3: "all_2subsets_distinguishable",
+    4: "all_nonsingleton_distinguishable_witness",
+    5: "different_cardinality_reachable_witness",
+    6: "disjoint_2subsets_distinguishable",
+}
+
+
+def _condition_check(G: GroupSpec, index: int) -> Check:
     if index == 2:
         def check(f):
             A = am.build_group_automaton(G, f)
@@ -224,21 +246,12 @@ def _condition_check(G: GroupSpec, index: int) -> Callable[[Transformation], tup
             reached = set(sub.states)
             missing = next(m for m in range(1, 1 << G.degree) if m not in reached)
             return False, {"unreachable": am.mask_to_str(missing)}
-    elif index == 3:
+    elif index in _PAIR_CHECKS:
+        name = _PAIR_CHECKS[index]
+
         def check(f):
-            ok, pair = am.all_2subsets_distinguishable(am.build_group_automaton(G, f))
-            return ok, None if ok else {"pair": [am.set_to_str(s) for s in pair]}
-    elif index == 4:
-        def check(f):
-            ok, pair = am.all_nonsingleton_distinguishable_witness(am.build_group_automaton(G, f))
-            return ok, None if ok else {"pair": [am.set_to_str(s) for s in pair]}
-    elif index == 5:
-        def check(f):
-            ok, pair = am.different_cardinality_reachable_witness(am.build_group_automaton(G, f))
-            return ok, None if ok else {"pair": [am.set_to_str(s) for s in pair]}
-    elif index == 6:
-        def check(f):
-            ok, pair = am.disjoint_2subsets_distinguishable(am.build_group_automaton(G, f))
+            # looked up at call time, so a wrapper set on the module is seen
+            ok, pair = getattr(am, name)(am.build_group_automaton(G, f))
             return ok, None if ok else {"pair": [am.set_to_str(s) for s in pair]}
     else:
         raise ValueError(f"no scan for condition {index}")
@@ -265,21 +278,14 @@ def condition(G: GroupSpec, index: int, mode: str = MODE_IDEMPOTENTS) -> Predica
             return PredicateResult(prim, witness)
         if index in (2, 4, 5) and G.degree > am.SUBSET_CAP:
             return PredicateResult(None, reason=f"degree {G.degree} exceeds power-set cap")
-        ok, witness, scanned = _scan(
-            G,
-            family(G, mode),
-            family_size(G.degree, mode),
-            _condition_check(G, index),
-            conjugate=mode == MODE_IDEMPOTENTS,
-        )
-        return PredicateResult(ok, witness, scanned)
+        return _scan_mode(G, mode, _condition_check(G, index))
 
     return _timed(run)
 
 
 def is_strongly_sync_maximal(G: GroupSpec) -> PredicateResult:
     """Whether adjoining any map of rank 2..n-1 leaves all 2-subsets
-    distinguishable.  The scan covers all n^n maps, so degrees above
+    distinguishable.  The scan labels all n^n maps, so degrees above
     STRONG_SCAN_CAP are skipped."""
     def run():
         n = G.degree
@@ -287,12 +293,8 @@ def is_strongly_sync_maximal(G: GroupSpec) -> PredicateResult:
             return PredicateResult(
                 None, reason=f"full map scan infeasible: {n}^{n} = {n**n} maps"
             )
-
         # condition 3's check, over all ranks 2..n-1
-        ok, witness, scanned = _scan(
-            G, _strong_family(n), _strong_family_size(n), _condition_check(G, 3)
-        )
-        return PredicateResult(ok, witness, scanned)
+        return PredicateResult(*_scan(_map_family(G, range(2, n)), _condition_check(G, 3)))
 
     return _timed(run)
 
@@ -309,14 +311,7 @@ def classify(
     report = ClassificationReport(G, name)
     preds = report.predicates
 
-    def timed_plain(func):
-        start = time.perf_counter()
-        value, witness = func()
-        res = PredicateResult(value, witness)
-        res.millis = (time.perf_counter() - start) * 1000.0
-        return res
-
-    preds["transitive"] = timed_plain(lambda: (gr.is_transitive(G), None))
+    preds["transitive"] = _timed(lambda: PredicateResult(gr.is_transitive(G)))
     prim = condition(G, 1)
     preds["primitive"] = prim
     preds["sync_maximal"] = is_sync_maximal(G, mode)

@@ -66,9 +66,10 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS) -> VerifySumm
         G = entry.group
         n = G.degree
         summary.groups_checked += 1
-        prim = cl.condition(G, 1).value
+        preds = cl.classify(G, entry.name, mode, with_strong=False).predicates
+        prim = preds["primitive"].value
         for exp, got, what in (
-            (entry.expected_transitive, gr.is_transitive(G), "transitive"),
+            (entry.expected_transitive, preds["transitive"].value, "transitive"),
             (entry.expected_primitive, prim, "primitive"),
         ):
             if exp is not None:
@@ -78,7 +79,7 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS) -> VerifySumm
                         {"group": entry.name, "check": f"expected_{what}", "expected": exp, "got": got}
                     )
 
-        sm = cl.is_sync_maximal(G, mode)
+        sm = preds["sync_maximal"]
         summary.checks += 1
         if sm.value != prim:
             summary.violations.append(
@@ -90,7 +91,7 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS) -> VerifySumm
                     "witness": sm.witness,
                 }
             )
-        cr = cl.condition(G, 2, mode)
+        cr = preds["condition_2"]
         summary.checks += 1
         if cr.value != prim:
             summary.violations.append(
@@ -102,9 +103,7 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS) -> VerifySumm
                     "witness": cr.witness,
                 }
             )
-        conds = {1: prim, 2: cr.value}
-        for i in range(3, 7):
-            conds[i] = cl.condition(G, i, mode).value
+        conds = {i: preds[f"condition_{i}"].value for i in range(1, 7)}
         if n >= 5:
             summary.checks += 1
             if len({conds[i] for i in range(1, 7)}) != 1:

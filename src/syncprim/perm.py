@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
 from typing import Iterator
+
+import numpy as np
 
 # Pair-level constructions work up to one 64-bit word of points; anything
 # that touches the power set is capped separately (see automaton.SUBSET_CAP).
@@ -151,13 +152,22 @@ def enumerate_maps_of_rank(n: int, r: int) -> Iterator[Transformation]:
             yield Transformation(image)
 
 
-def count_maps_of_rank(n: int, r: int) -> int:
-    """The number of maps on [n] of rank exactly r, C(n, r) * r! * S(n, r):
-    choose the image, then a surjection onto it.  The r! * S(n, r)
-    surjections are counted by inclusion-exclusion over missed points."""
-    if not 1 <= r <= n:
-        return 0
-    return comb(n, r) * sum((-1) ** j * comb(r, j) * (r - j) ** n for j in range(r + 1))
+def codes_of_ranks(n: int, ranks) -> np.ndarray:
+    """The base-n codes sum f(i) n^(n-1-i) of all maps on [n] whose rank is
+    in ranks, rank by rank and lexicographic within a rank, as int32.
+
+    Code order is the lexicographic order of the image arrays.  A map's
+    rank is the popcount of its image mask, the OR of 1 << f(i) over its
+    points; the masks of all n^n maps are ORed together one point at a
+    time by broadcasting, one byte per map up to n = 8."""
+    bits = 1 << np.arange(n)
+    mask = np.zeros((n,) * n, dtype=np.min_scalar_type((1 << n) - 1))
+    for i in range(n):
+        mask |= bits.astype(mask.dtype).reshape((1,) * i + (n,) + (1,) * (n - 1 - i))
+    mask = mask.ravel()
+    popcount = np.array([m.bit_count() for m in range(1 << n)], dtype=np.int8)
+    codes = np.flatnonzero(np.isin(popcount, ranks)[mask])
+    return codes[np.argsort(popcount[mask[codes]], kind="stable")].astype(np.int32)
 
 
 def parse_image(text: str, n: int | None = None) -> Transformation:

@@ -47,8 +47,12 @@ def _brute_synchronizing(A):
 
 
 def _group_automata(entries, mode):
+    maps = {
+        MODE_IDEMPOTENTS: perm.enumerate_idempotents_rank_n_minus_1,
+        MODE_ALL: perm.enumerate_rank_n_minus_1,
+    }[mode]
     for entry in entries:
-        for f in cl.family(entry.group, mode):
+        for f in maps(entry.group.degree):
             yield entry.name, am.build_group_automaton(entry.group, f)
 
 

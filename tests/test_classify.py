@@ -1,5 +1,6 @@
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +186,20 @@ class TestClassify:
             if res.value is False and name != "transitive":
                 assert res.witness is not None, name
 
+    def test_all_maps_scan_skipped_above_cap(self, monkeypatch):
+        # S9 in mode all would need a table of 9^9 maps; it is never built
+        def no_table(*args):
+            raise AssertionError("all-map table built")
+
+        monkeypatch.setattr(perm, "codes_of_ranks", no_table)
+        G = catalog.symmetric(9)
+        assert G.degree > cl.ALL_MAPS_CAP
+        results = [cl.is_sync_maximal(G, MODE_ALL)] + [cl.condition(G, i, MODE_ALL) for i in range(2, 7)]
+        for res in results:
+            assert res.value is None
+            assert "infeasible" in res.reason
+        assert cl.is_sync_maximal(G, MODE_IDEMPOTENTS).value is True
+
     def test_skipped_never_guessed(self):
         report = cl.classify(
             catalog.symmetric(8), with_conditions=False, with_strong=True
@@ -206,17 +221,47 @@ def _map_by_map(maps, check):
     return True, None, scanned
 
 
+def _walk(G, mode):
+    """The family of a scan, walked through perm's enumerations."""
+    n = G.degree
+    if mode == "strong":
+        return (f for r in range(2, n) for f in perm.enumerate_maps_of_rank(n, r))
+    if mode == MODE_IDEMPOTENTS:
+        return perm.enumerate_idempotents_rank_n_minus_1(n)
+    return perm.enumerate_rank_n_minus_1(n)
+
+
+def _scan_family(G, mode):
+    return cl._map_family(G, range(2, G.degree)) if mode == "strong" else cl._family(G, mode)
+
+
 def _scan_and_oracle(G, predicate, mode):
     if predicate == "strong":
         res = cl.is_strongly_sync_maximal(G)
-        maps, check = cl._strong_family(G.degree), cl._condition_check(G, 3)
+        maps, check = _walk(G, "strong"), cl._condition_check(G, 3)
     elif predicate == "sync_maximal":
         res = cl.is_sync_maximal(G, mode)
-        maps, check = cl.family(G, mode), cl._sync_maximal_check(G)
+        maps, check = _walk(G, mode), cl._sync_maximal_check(G)
     else:
         res = cl.condition(G, predicate, mode)
-        maps, check = cl.family(G, mode), cl._condition_check(G, predicate)
+        maps, check = _walk(G, mode), cl._condition_check(G, predicate)
     return (res.value, res.witness, res.scanned), _map_by_map(maps, check)
+
+
+def _orbit_oracle(G, maps):
+    """The first position of every map's orbit {g f h : g, h in G} in maps,
+    marking each orbit by brute force over the group's elements when its
+    first map comes up."""
+    elements = [g.image for g in gr.enumerate_elements(G)]
+    first = {}
+    labels = []
+    for i, f in enumerate(maps):
+        if f.image not in first:
+            right = {tuple(f.image[x] for x in h) for h in elements}
+            for t in {tuple(g[x] for x in r) for g in elements for r in right}:
+                first[t] = i
+        labels.append(first[f.image])
+    return labels
 
 
 def _oracle_entries(max_degree, degree_6_imprimitive=False):
@@ -257,7 +302,7 @@ class TestOrbitScan:
             assert got == want, entry.name
 
     @pytest.mark.parametrize(
-        "G, maps, conjugate, checked, size",
+        "G, maps, conjugation, checked, size",
         [
             (catalog.symmetric(5), "strong", False, 5, 3000),
             (catalog.alternating(5), "strong", False, 5, 3000),
@@ -273,60 +318,57 @@ class TestOrbitScan:
             (gr.trivial_group(4), MODE_IDEMPOTENTS, True, 12, 12),
         ],
     )
-    def test_representative_counts(self, G, maps, conjugate, checked, size):
-        family = cl._strong_family(G.degree) if maps == "strong" else cl.family(G, maps)
+    def test_representative_counts(self, G, maps, conjugation, checked, size):
+        family = _scan_family(G, maps)
+        # the idempotent family moves by conjugation, the others by a left
+        # and a right move per generator
+        assert len(family[2]) == len(G.generators) * (1 if conjugation else 2)
         seen = []
 
         def passing(f):
             seen.append(f)
             return True, None
 
-        assert cl._scan(G, family, size, passing, conjugate=conjugate) == (True, None, size)
+        assert cl._scan(family, passing) == (True, None, size)
         assert len(seen) == checked
         assert len(set(seen)) == checked
 
     def test_family_sizes_are_counted_exactly(self):
         for n in range(1, 7):
-            for mode in (MODE_IDEMPOTENTS, MODE_ALL):
-                walked = sum(1 for _ in cl.family(gr.trivial_group(n), mode))
-                assert cl.family_size(n, mode) == walked, (n, mode)
-            assert cl._strong_family_size(n) == sum(1 for _ in cl._strong_family(n)), n
-        assert cl._strong_family_size(7) == 818_496
+            G = gr.trivial_group(n)
+            for mode in ("strong", MODE_IDEMPOTENTS, MODE_ALL):
+                size, map_at, _ = _scan_family(G, mode)
+                walked = list(_walk(G, mode))
+                assert size == len(walked), (n, mode)
+                assert [map_at(i) for i in range(size)] == walked, (n, mode)
+        assert _scan_family(gr.trivial_group(7), "strong")[0] == 818_496
 
-    def test_scan_stops_once_every_remaining_map_is_covered(self):
-        # S6's strong family is 9 orbits; the last representative comes up
-        # early in rank 5, and the rest of the family is never walked
-        G = catalog.symmetric(6)
-        walked, checked = [], []
-
-        def maps():
-            for f in cl._strong_family(6):
-                walked.append(f)
-                yield f
-
-        def passing(f):
-            checked.append(f)
-            return True, None
-
-        size = cl._strong_family_size(6)
-        assert cl._scan(G, maps(), size, passing) == (True, None, size)
-        assert len(checked) == 9
-        assert walked[-1] == checked[-1]
-        assert len(walked) < size
+    @pytest.mark.parametrize("mode", ["strong", MODE_IDEMPOTENTS, MODE_ALL])
+    def test_representatives_match_brute_force_orbits(self, mode):
+        for entry in _oracle_entries(5):
+            G = entry.group
+            size, _, moves = _scan_family(G, mode)
+            label = cl._orbit_labels(size, moves)
+            want = _orbit_oracle(G, _walk(G, mode))
+            assert label.tolist() == want, entry.name
+            reps = [i for i, first in enumerate(want) if first == i]
+            assert np.flatnonzero(label == np.arange(size)).tolist() == reps, entry.name
 
     def test_idempotent_orbits_are_conjugation_orbits(self):
         # the G x G orbit of an idempotent of rank n-1 meets that family
         # exactly in its conjugation orbit, the orbital of (a, b)
         for entry in _oracle_entries(5):
             G = entry.group
-            for e in perm.enumerate_idempotents_rank_n_minus_1(G.degree):
-                both_sides = cl._orbit(G, e.image, conjugate=False)
-                in_family = {t for t in both_sides if perm.is_idempotent(Transformation(t))}
-                conjugates = cl._orbit(G, e.image, conjugate=True)
-                assert conjugates == in_family, (entry.name, e)
-                (a,) = [p for p in range(G.degree) if e.image[p] != p]
-                orbital = {(g(a), g(e.image[a])) for g in gr.enumerate_elements(G)}
-                assert {next((p, q) for p, q in enumerate(t) if p != q) for t in conjugates} == orbital
+            size, map_at, moves = cl._family(G, MODE_IDEMPOTENTS)
+            assert len(moves) == len(G.generators)
+            label = cl._orbit_labels(size, moves).tolist()
+            assert label == _orbit_oracle(G, _walk(G, MODE_IDEMPOTENTS)), entry.name
+            for i in range(size):
+                e = map_at(i)
+                (a,) = [p for p in range(G.degree) if e(p) != p]
+                orbital = {(g(a), g(e(a))) for g in gr.enumerate_elements(G)}
+                conjugates = [map_at(j) for j in range(size) if label[j] == label[i]]
+                assert {next((p, q) for p, q in enumerate(t.image) if p != q) for t in conjugates} == orbital
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
