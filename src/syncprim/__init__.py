@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .automaton import (
     SemiAutomaton,
-    SubsetAutomaton,
     DfaSummary,
     build_group_automaton,
     build_subset_automaton,
@@ -28,7 +27,6 @@ __all__ = [
     "DfaSummary",
     "GroupSpec",
     "SemiAutomaton",
-    "SubsetAutomaton",
     "Transformation",
     "build_group_automaton",
     "build_subset_automaton",

@@ -4,13 +4,16 @@ and partition refinement, in plain Python and numpy.
 image_table is the one place that knows how a letter acts on a subset
 bitmask: it tabulates every letter's image of every mask, so the
 breadth-first walk over the power set (subset_reach) is a table lookup
-per transition, and the reset-word search reads its answer off that walk.
-The pair table (pair_merge_table) is a backward BFS over state pairs that
-never builds the power set.  Partition refinement (Hopcroft's algorithm,
-moore_refine) has two paths that give the same partition: a Python loop
-over flat array('i') buffers for small tables, and a numpy version that
-splits on a whole worklist per round for tables of ROUNDS_MIN_ROWS rows
-or more, such as the Syn-DFA tables of the power set.
+per transition, and the reset-word search (reset_word_bfs) reads its
+answer, a list of letters or None, off that walk.  The pair table
+(pair_merge_table) is a backward BFS from the diagonal over the letters'
+preimage lists; it never builds the power set and returns a symmetric
+bool matrix of the mergeable state pairs.  Partition refinement
+(Hopcroft's algorithm, moore_refine) has two paths that give the same
+partition: a Python loop over flat array('i') buffers for small tables,
+and a numpy version that splits on a whole worklist per round for tables
+of ROUNDS_MIN_ROWS rows or more, such as the Syn-DFA tables of the power
+set.
 benchmarks/bench_kernels.py times the kernels and both refinement paths.
 """
 
@@ -71,13 +74,13 @@ def reset_word_bfs(letters, n):
     Read off subset_reach's BFS: the goal is the first singleton state, and
     a state's parent is its first occurrence in the row-major transition
     table (parent, then letter).  So the word is the lexicographically
-    smallest among the minimum-length ones.  Returns an int32 letter array,
-    or length-1 [-1] when not synchronizing.
+    smallest among the minimum-length ones.  Returns the letters as a list,
+    or None when not synchronizing.
     """
     states, trans = subset_reach(letters, n)
     single = np.flatnonzero((states & (states - 1)) == 0)
     if not len(single):
-        return np.array([-1], np.int32)
+        return None
     targets, first = np.unique(trans.ravel(), return_index=True)
     pos = np.empty(len(states), np.int64)
     pos[targets] = first
@@ -86,71 +89,30 @@ def reset_word_bfs(letters, n):
     while t:
         t, letter = divmod(int(pos[t]), trans.shape[1])
         word.append(letter)
-    return np.array(word[::-1], np.int32)
+    return word[::-1]
 
 
 def pair_merge_table(letters, n):
-    """For every unordered state pair, whether some word merges it.
+    """For every state pair, whether some word merges it: an (n, n) bool
+    matrix, symmetric, with a true diagonal (the empty word merges p, p).
 
-    Backward BFS from the pairs some letter already collapses, through
-    letter preimages.  Returns an (n, n) uint8 matrix (symmetric closure
-    filled on the upper triangle, mirrored for convenience).
+    Backward BFS from the diagonal: a pair is mergeable when some letter
+    sends it to a mergeable pair, so each found pair (r, s) adds the pairs
+    of a letter's preimages of r and of s.
     """
-    L = letters.shape[0]
-    # preimage lists per letter, CSR layout
-    counts = np.zeros((L, n), np.int32)
-    for l in range(L):
-        for i in range(n):
-            counts[l, letters[l, i]] += 1
-    offsets = np.zeros((L, n + 1), np.int32)
-    for l in range(L):
-        for x in range(n):
-            offsets[l, x + 1] = offsets[l, x] + counts[l, x]
-    pre = np.empty((L, n), np.int32)
-    fill = np.zeros((L, n), np.int32)
-    for l in range(L):
-        for i in range(n):
-            x = letters[l, i]
-            pre[l, offsets[l, x] + fill[l, x]] = i
-            fill[l, x] += 1
-
-    good = np.zeros((n, n), np.uint8)
-    queue = np.empty(n * n, np.int32)
-    qt = 0
-    # seed: pairs collapsed by a single letter
-    for l in range(L):
-        for x in range(n):
-            for a in range(offsets[l, x], offsets[l, x + 1]):
-                for b in range(a + 1, offsets[l, x + 1]):
-                    p = pre[l, a]
-                    q = pre[l, b]
-                    if p > q:
-                        p, q = q, p
-                    if good[p, q] == 0:
-                        good[p, q] = 1
-                        good[q, p] = 1
-                        queue[qt] = p * n + q
-                        qt += 1
-    qh = 0
-    while qh < qt:
-        pq = queue[qh]
-        qh += 1
-        r = pq // n
-        s = pq % n
-        for l in range(L):
-            for a in range(offsets[l, r], offsets[l, r + 1]):
-                for b in range(offsets[l, s], offsets[l, s + 1]):
-                    p = pre[l, a]
-                    q = pre[l, b]
-                    if p == q:
-                        continue
-                    if p > q:
-                        p, q = q, p
-                    if good[p, q] == 0:
-                        good[p, q] = 1
-                        good[q, p] = 1
-                        queue[qt] = p * n + q
-                        qt += 1
+    pre = [[[] for _ in range(n)] for _ in range(len(letters))]
+    for pre_l, row in zip(pre, np.asarray(letters).tolist()):
+        for i, x in enumerate(row):
+            pre_l[x].append(i)
+    good = np.eye(n, dtype=bool)
+    queue = [(r, r) for r in range(n)]
+    for r, s in queue:  # the list grows while it is iterated: a queue
+        for pre_l in pre:
+            for p in pre_l[r]:
+                for q in pre_l[s]:
+                    if not good[p, q]:
+                        good[p, q] = good[q, p] = True
+                        queue.append((p, q))
     return good
 
 

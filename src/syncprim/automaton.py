@@ -49,15 +49,6 @@ class SemiAutomaton:
 
 
 @dataclass(frozen=True)
-class SubsetAutomaton:
-    """The reachable part of the power automaton, full state set first."""
-
-    degree: int
-    states: tuple[int, ...]          # bitmasks, BFS order
-    transitions: tuple[tuple[int, ...], ...]  # state x letter -> state index
-
-
-@dataclass(frozen=True)
 class DfaSummary:
     state_count: int
     accepting_count: int
@@ -77,43 +68,29 @@ def _check_subset_cap(A: SemiAutomaton):
         )
 
 
-def build_subset_automaton(A: SemiAutomaton) -> SubsetAutomaton:
+def build_subset_automaton(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray]:
+    """The reachable part of the power automaton, as subset_reach gives it:
+    the masks in BFS order, full set first, as int64, and the (S, L) int32
+    successor indices.  Subject to the power-set cap."""
     _check_subset_cap(A)
-    states, trans = subset_reach(A.letter_array(), A.degree)
-    return SubsetAutomaton(
-        A.degree,
-        tuple(int(s) for s in states),
-        tuple(tuple(int(t) for t in row) for row in trans),
-    )
+    return subset_reach(A.letter_array(), A.degree)
 
 
 def is_completely_reachable(A: SemiAutomaton) -> bool:
-    _check_subset_cap(A)
-    states, _ = subset_reach(A.letter_array(), A.degree)
+    states, _ = build_subset_automaton(A)
     return len(states) == (1 << A.degree) - 1
 
 
 def is_synchronizing_pairs(A: SemiAutomaton) -> bool:
     """Cerny pair criterion: every state pair can be merged by some word."""
-    n = A.degree
-    if n == 1:
-        return True
-    good = pair_merge_table(A.letter_array(), n)
-    for p in range(n):
-        for q in range(p + 1, n):
-            if not good[p, q]:
-                return False
-    return True
+    return bool(pair_merge_table(A.letter_array(), A.degree).all())
 
 
 def shortest_reset_word(A: SemiAutomaton) -> Optional[list[int]]:
     """A minimum-length synchronizing word, lexicographically smallest
     among the minimal ones; None when the automaton is not synchronizing."""
     _check_subset_cap(A)
-    word = reset_word_bfs(A.letter_array(), A.degree)
-    if len(word) == 1 and word[0] == -1:
-        return None
-    return [int(x) for x in word]
+    return reset_word_bfs(A.letter_array(), A.degree)
 
 
 def _merged_syn_dfa(states: np.ndarray, trans: np.ndarray):

@@ -239,13 +239,13 @@ _PAIR_CHECKS = {
 def _condition_check(G: GroupSpec, index: int) -> Check:
     if index == 2:
         def check(f):
-            A = am.build_group_automaton(G, f)
-            sub = am.build_subset_automaton(A)
-            if len(sub.states) == (1 << G.degree) - 1:
+            states, _ = am.build_subset_automaton(am.build_group_automaton(G, f))
+            unreached = np.ones(1 << G.degree, bool)
+            unreached[states] = False
+            missing = np.flatnonzero(unreached[1:])
+            if not len(missing):
                 return True, None
-            reached = set(sub.states)
-            missing = next(m for m in range(1, 1 << G.degree) if m not in reached)
-            return False, {"unreachable": am.mask_to_str(missing)}
+            return False, {"unreachable": am.mask_to_str(int(missing[0]) + 1)}
     elif index in _PAIR_CHECKS:
         name = _PAIR_CHECKS[index]
 

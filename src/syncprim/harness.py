@@ -146,10 +146,21 @@ def search_strongly_sync_maximal(
 ) -> Iterator[ExperimentRecord]:
     """Classify every catalog group at the given degrees, recording the
     primitive / 4-transitive / strongly-sync-maximal flags to expose any
-    separation witness for the open containment question."""
+    separation witness for the open containment question.
+
+    An empty range, or one reaching below 1 or past STRONG_SCAN_CAP,
+    raises ValueError here, before any group is classified."""
+    if not degrees:
+        raise ValueError(f"empty degree range {degrees.start}..{degrees.stop - 1}")
+    if min(degrees) < 1:
+        raise ValueError(f"degree {min(degrees)} is below 1")
+    if max(degrees) > cl.STRONG_SCAN_CAP:
+        raise ValueError(f"degree {max(degrees)} exceeds the full-scan cap {cl.STRONG_SCAN_CAP}")
+    return _search(degrees, skip_names)
+
+
+def _search(degrees: range, skip_names: Optional[set[str]]) -> Iterator[ExperimentRecord]:
     for n in degrees:
-        if n > cl.STRONG_SCAN_CAP:
-            raise ValueError(f"degree {n} exceeds the full-scan cap {cl.STRONG_SCAN_CAP}")
         for entry in builtin_catalog(n):
             if entry.degree != n:
                 continue

@@ -239,42 +239,51 @@ class TestShortestResetWord:
 
 
 class TestSubsetAutomaton:
+    """build_subset_automaton: subset_reach's arrays behind the power-set cap."""
+
+    def test_is_subset_reach(self):
+        A = am.build_group_automaton(catalog.cyclic(5), t(1, 1, 2, 3, 4))
+        got = am.build_subset_automaton(A)
+        want = _kernels.subset_reach(A.letter_array(), A.degree)
+        for g, w in zip(got, want, strict=True):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
     def test_permutations_only(self):
         G = catalog.symmetric(3)
         A = SemiAutomaton(3, G.generators)
-        sub = am.build_subset_automaton(A)
-        assert sub.states == (0b111,)
+        states, _ = am.build_subset_automaton(A)
+        assert states.tolist() == [0b111]
 
     def test_cerny_4_fully_reachable(self):
-        sub = am.build_subset_automaton(am.cerny_automaton(4))
-        assert len(sub.states) == 15
-        assert set(sub.states) == set(range(1, 16))
-        assert sub.states[0] == 0b1111
+        states, _ = am.build_subset_automaton(am.cerny_automaton(4))
+        assert len(states) == 15
+        assert set(states.tolist()) == set(range(1, 16))
+        assert states[0] == 0b1111
 
     def test_matches_brute_force(self):
         A = am.cerny_automaton(5)
-        sub = am.build_subset_automaton(A)
+        states, _ = am.build_subset_automaton(A)
         brute = brute_force_reachable(A)
-        assert {am.mask_to_set(s) for s in sub.states} == brute
+        assert {am.mask_to_set(s) for s in states.tolist()} == brute
 
     def test_transitions_consistent(self):
         A = am.cerny_automaton(4)
-        sub = am.build_subset_automaton(A)
-        for i, s in enumerate(sub.states):
+        states, trans = am.build_subset_automaton(A)
+        for i, s in enumerate(states.tolist()):
             for l, letter in enumerate(A.letters):
-                assert sub.states[sub.transitions[i][l]] == letter.apply_mask(s)
+                assert states[trans[i, l]] == letter.apply_mask(s)
 
     def test_cardinality_never_increases(self):
         A = am.cerny_automaton(5)
-        sub = am.build_subset_automaton(A)
-        for i, s in enumerate(sub.states):
-            for j in sub.transitions[i]:
-                assert bin(sub.states[j]).count("1") <= bin(s).count("1")
+        states, trans = am.build_subset_automaton(A)
+        for i, s in enumerate(states.tolist()):
+            for j in trans[i].tolist():
+                assert bin(int(states[j])).count("1") <= bin(s).count("1")
 
     def test_constant_letter_reaches_singleton(self):
         A = SemiAutomaton(3, (t(0, 0, 0),))
-        sub = am.build_subset_automaton(A)
-        assert 0b001 in sub.states
+        states, _ = am.build_subset_automaton(A)
+        assert 0b001 in states.tolist()
 
     def test_degree_cap(self):
         with pytest.raises(am.DegreeCapError):
@@ -282,11 +291,11 @@ class TestSubsetAutomaton:
 
 
 @st.composite
-def automata(draw):
-    """Automata with 1-10 states and 1-4 letters; a letter is the
-    identity, a permutation or an arbitrary map, so identity-only and
+def automata(draw, max_states=10):
+    """Automata with 1 to max_states states and 1-4 letters; a letter is
+    the identity, a permutation or an arbitrary map, so identity-only and
     non-synchronizing automata come up often."""
-    n = draw(st.integers(1, 10), label="states")
+    n = draw(st.integers(1, max_states), label="states")
     points = list(range(n))
     letter = st.one_of(
         st.just(points),
@@ -403,10 +412,10 @@ class TestMinimalSynDfa:
         for A in cases:
             n = A.degree
             maximal = am.minimal_syn_dfa(A).state_count == 2 ** n - n
-            sub = am.build_subset_automaton(A)
+            states, _ = am.build_subset_automaton(A)
             big = {m for m in range(1, 1 << n) if bin(m).count("1") >= 2}
-            reach_ok = big <= set(sub.states) and any(
-                s & (s - 1) == 0 for s in sub.states
+            reach_ok = big <= set(states.tolist()) and any(
+                s & (s - 1) == 0 for s in states.tolist()
             )
             assert maximal == (reach_ok and am.all_nonsingleton_distinguishable(A))
 
@@ -482,14 +491,13 @@ class TestPartitionRefinement:
 
     def test_merged_syn_dfa_collapses_exactly_the_singletons(self):
         A = am.build_group_automaton(catalog.cyclic(5), t(1, 1, 2, 3, 4))
-        sub = am.build_subset_automaton(A)
-        states, trans = _kernels.subset_reach(A.letter_array(), A.degree)
+        states, trans = am.build_subset_automaton(A)
         merged, acc = am._merged_syn_dfa(states, trans)
-        kept = [i for i, s in enumerate(sub.states) if s & (s - 1)]
+        kept = [i for i, s in enumerate(states.tolist()) if s & (s - 1)]
         new = {old: i for i, old in enumerate(kept)}
         assert acc == len(kept) and merged.shape == (len(kept) + 1, len(A.letters))
         for old, i in new.items():
-            assert merged[i].tolist() == [new.get(j, acc) for j in sub.transitions[old]]
+            assert merged[i].tolist() == [new.get(j, acc) for j in trans[old].tolist()]
         assert merged[acc].tolist() == [acc] * len(A.letters)
 
 
@@ -710,7 +718,43 @@ class TestDistinguishWitness:
             am.distinguish_witness(A, frozenset({0}), frozenset({1, 2}))
 
 
+def pair_mergeable(A, p, q):
+    """Independent oracle for one entry of _kernels.pair_merge_table: a
+    forward BFS over the pairs (x(p), x(q)) for words x, until a pair
+    merges."""
+    start = (p, q)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        a, b = queue.popleft()
+        if a == b:
+            return True
+        for letter in A.letters:
+            nxt = (letter(a), letter(b))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
 class TestPairCriterionAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(automata(max_states=8))
+    def test_pair_table_pair_by_pair(self, A):
+        n = A.degree
+        good = _kernels.pair_merge_table(A.letter_array(), n)
+        assert (good.dtype, good.shape) == (np.dtype(bool), (n, n))
+        assert good.tolist() == [[pair_mergeable(A, p, q) for q in range(n)] for p in range(n)]
+        assert am.is_synchronizing_pairs(A) == brute_force_synchronizing(A)
+
+    def test_at_the_degree_cap(self):
+        # the pair criterion has no power-set cap: it must decide at n = 64
+        n = perm.DEGREE_CAP
+        assert am.is_synchronizing_pairs(am.cerny_automaton(n))
+        shift = Transformation(tuple((i + 1) % n for i in range(n)))
+        swap = Transformation((1, 0) + tuple(range(2, n)))
+        assert not am.is_synchronizing_pairs(SemiAutomaton(n, (shift, swap)))
+
     def test_small_exhaustive_families(self):
         # every 2-letter automaton on [3] built from one permutation and one map
         perms = list(perm.enumerate_maps_of_rank(3, 3))

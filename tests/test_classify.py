@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from syncprim import automaton as am, catalog, classify as cl, group as gr, perm
 from syncprim.classify import MODE_ALL, MODE_IDEMPOTENTS
 from syncprim.perm import Transformation
+from test_automaton import brute_force_reachable
 
 
 class TestIsSyncMaximal:
@@ -71,8 +72,18 @@ class TestConditions:
         f = perm.parse_image(res.witness["f"])
         A = am.build_group_automaton(catalog.cyclic(4), f)
         missing = am.parse_set(res.witness["unreachable"], 4)
-        sub = am.build_subset_automaton(A)
-        assert all(am.mask_to_set(s) != missing for s in sub.states)
+        states, _ = am.build_subset_automaton(A)
+        assert all(am.mask_to_set(s) != missing for s in states.tolist())
+
+    @pytest.mark.parametrize("mode", [MODE_IDEMPOTENTS, MODE_ALL])
+    def test_condition_2_witness_is_the_first_unreachable_mask(self, mode):
+        # against a map-by-map scan whose reachability test is the
+        # frozenset BFS
+        for entry in _oracle_entries(5):
+            G = entry.group
+            res = cl.condition(G, 2, mode)
+            want = _map_by_map(_walk(G, mode), _brute_condition_2(G))
+            assert (res.value, res.witness, res.scanned) == want, entry.name
 
     def test_condition_3_witness_revalidates(self):
         res = cl.condition(catalog.cyclic(4), 3)
@@ -219,6 +230,19 @@ def _map_by_map(maps, check):
             witness.update(extra or {})
             return False, witness, scanned
     return True, None, scanned
+
+
+def _brute_condition_2(G):
+    """Condition 2's check of one map by brute force: the first mask, in
+    mask order, that the frozenset BFS does not reach."""
+    n = G.degree
+
+    def check(f):
+        reached = brute_force_reachable(am.build_group_automaton(G, f))
+        missing = [m for m in range(1, 1 << n) if am.mask_to_set(m) not in reached]
+        return not missing, {"unreachable": am.mask_to_str(missing[0])} if missing else None
+
+    return check
 
 
 def _walk(G, mode):

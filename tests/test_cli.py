@@ -155,6 +155,27 @@ class TestSearchCommand:
         assert code == 2
         assert "degree range" in err
 
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [
+            ("6..8", "degree 8 exceeds the full-scan cap 7"),
+            ("5..3", "empty degree range 5..3"),
+            ("0..2", "degree 0 is below 1"),
+        ],
+    )
+    def test_bad_degrees_exit_2_before_any_record(self, capsys, tmp_path, monkeypatch, degrees, message):
+        def no_classify(*args, **kwargs):
+            raise AssertionError("a group was classified")
+
+        monkeypatch.setattr(harness.cl, "classify", no_classify)
+        dest = tmp_path / "records.jsonl"
+        dest.write_text('{"name": "C3"}\n{"na')
+        code, out, err = run(capsys, "search", "--degrees", degrees, "--out", str(dest))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert dest.read_text() == '{"name": "C3"}\n{"na'
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         dest = str(tmp_path / "missing" / "records.jsonl")
         code, out, err = run(capsys, "search", "--degrees", "3..3", "--out", dest)
