@@ -1,7 +1,9 @@
-"""Benchmark the hot kernels on the Černý automaton, and partition
-refinement on two merged Syn-DFA tables: the Černý automaton's and that
-of the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
-Each table is refined by moore_refine and by both of its paths.  One more
+"""Benchmark the hot kernels on two automata: the Černý automaton and
+the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
+On each, the power-set walk (subset_reach) and the reset word
+(reset_word_bfs) run as dispatched and in both of their forms, and the
+merged Syn-DFA table is refined by moore_refine and by both of its paths.
+The pair table is timed on the Černý automaton.  One more
 row labels the degree-7 strong scan family (the 818 496 maps of rank 2..6)
 by orbit under S7 and under C7, as is_strongly_sync_maximal does before
 checking one map per orbit.
@@ -39,17 +41,25 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
             times.append(time.perf_counter() - start)
         return min(times)
 
-    results = [
-        ("subset_reach", best(lambda: _kernels.subset_reach(letters, degree))),
-        ("reset_word_bfs", best(lambda: _kernels.reset_word_bfs(letters, degree))),
-        ("pair_merge_table", best(lambda: _kernels.pair_merge_table(letters, degree))),
-    ]
-
-    # the tables minimal_syn_dfa refines: the subset automaton with its
-    # singletons merged into one accepting sink
+    results = [("pair_merge_table, Cerny", best(lambda: _kernels.pair_merge_table(letters, degree)))]
     R = random_automaton(SplitMix64(RANDOM_SEED), RANDOM_DEGREE, 3)
     for name, B in (("Cerny", A), (f"random n={RANDOM_DEGREE}", R)):
-        merged, acc = _merged_syn_dfa(*_kernels.subset_reach(B.letter_array(), B.degree))
+        B_letters, n = B.letter_array(), B.degree
+        states, trans = _kernels.subset_reach(B_letters, n)
+        walks = [
+            (f"subset_reach, {name} ({len(states)} states)", "subset_reach"),
+            ("  _reach_batched", "_reach_batched"),
+            ("  _reach_loop", "_reach_loop"),
+            (f"reset_word_bfs, {name}", "reset_word_bfs"),
+            ("  _reset_word_batched", "_reset_word_batched"),
+            ("  _reset_word_loop", "_reset_word_loop"),
+        ]
+        for label, func in walks:
+            walk = getattr(_kernels, func)
+            results.append((label, best(lambda: walk(B_letters, n))))
+        # the table minimal_syn_dfa refines: the subset automaton with its
+        # singletons merged into one accepting sink
+        merged, acc = _merged_syn_dfa(states, trans)
         init = np.zeros(len(merged), dtype=np.int64)
         if acc is not None:
             init[acc] = 1

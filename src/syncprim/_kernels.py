@@ -5,8 +5,12 @@ image_table is the one place that knows how a letter acts on a subset
 bitmask: it tabulates every letter's image of every mask, so the
 breadth-first walk over the power set (subset_reach) is a table lookup
 per transition, and the reset-word search (reset_word_bfs) reads its
-answer, a list of letters or None, off that walk.  The pair table
-(pair_merge_table) is a backward BFS from the diagonal over the letters'
+answer, a list of letters or None, off that walk.  The walk has two
+forms that give the same arrays: a queue loop over array('i') buffers for
+small tables, and a numpy walk that expands a batch of queued states (up
+to a BFS level) at a time for tables of BATCHED_MIN_MASKS masks or more;
+there the reset word stops at the first batch that finds a singleton.
+The pair table (pair_merge_table) is a backward BFS from the diagonal over the letters'
 preimage lists; it never builds the power set and returns a symmetric
 bool matrix of the mergeable state pairs.  Partition refinement
 (Hopcroft's algorithm, moore_refine) has two paths that give the same
@@ -14,7 +18,8 @@ partition: a Python loop over flat array('i') buffers for small tables,
 and a numpy version that splits on a whole worklist per round for tables
 of ROUNDS_MIN_ROWS rows or more, such as the Syn-DFA tables of the power
 set.
-benchmarks/bench_kernels.py times the kernels and both refinement paths.
+benchmarks/bench_kernels.py times the kernels, both walk forms and both
+refinement paths.
 """
 
 from __future__ import annotations
@@ -43,13 +48,53 @@ def image_table(letters, n):
     return img
 
 
+# Tables of at least this many masks (2^n) are walked by _walk_batches, in
+# numpy, smaller ones by the queue loop.  A batch costs a fixed dozen numpy
+# calls, about 25 us, so the loop wins on small tables and on deep, narrow
+# walks of few masks per level.  Measured crossovers: about n = 9 on random
+# 3-letter automata, n = 10 on S_n and D_n plus an idempotent (about 40
+# levels at n = 11), n = 13 on the Cerny automaton (158 levels of 52 masks
+# on average at n = 13).
+BATCHED_MIN_MASKS = 1 << 11
+
+# The most states one batch of _walk_batches expands.  It bounds the batch's
+# temporaries, up to about 40 bytes per transition, where one level of a
+# broad walk near SUBSET_CAP would need hundreds of MB; at n = 16 it costs
+# no measurable time.
+WALK_BATCH = 1 << 10
+
+
 def subset_reach(letters, n):
     """BFS over subset bitmasks from the full set.
 
     letters: (L, n) int array of point images.
     Returns (states, trans): masks in BFS order (full set first) as int64,
-    and the (S, L) int32 per-state per-letter successor indices.
+    and the (S, L) int32 per-state per-letter successor indices.  Tables of
+    BATCHED_MIN_MASKS masks or more go to _reach_batched, smaller ones to
+    _reach_loop; both give the same arrays.
     """
+    reach = _reach_batched if 1 << n >= BATCHED_MIN_MASKS else _reach_loop
+    return reach(letters, n)
+
+
+def reset_word_bfs(letters, n):
+    """Shortest word collapsing the full set to a singleton.
+
+    Read off subset_reach's BFS: the goal is the first singleton state, and
+    a state's parent is its first occurrence in the row-major transition
+    table (parent, then letter).  So the word is the lexicographically
+    smallest among the minimum-length ones.  Returns the letters as a list,
+    or None when not synchronizing.  Dispatched like subset_reach, to
+    _reset_word_batched, which stops at the first singleton, or to
+    _reset_word_loop, which walks the whole power set first.
+    """
+    search = _reset_word_batched if 1 << n >= BATCHED_MIN_MASKS else _reset_word_loop
+    return search(letters, n)
+
+
+def _reach_loop(letters, n):
+    """subset_reach as a queue loop over array('i') buffers, one Python
+    step per transition: the fast path for small tables."""
     L = len(letters)
     tab = [memoryview(row) for row in image_table(letters, n)]
     full = (1 << n) - 1
@@ -68,28 +113,93 @@ def subset_reach(letters, n):
     return np.frombuffer(states, np.int32).astype(np.int64), np.frombuffer(trans, np.int32).reshape(-1, L)
 
 
-def reset_word_bfs(letters, n):
-    """Shortest word collapsing the full set to a singleton.
-
-    Read off subset_reach's BFS: the goal is the first singleton state, and
-    a state's parent is its first occurrence in the row-major transition
-    table (parent, then letter).  So the word is the lexicographically
-    smallest among the minimum-length ones.  Returns the letters as a list,
-    or None when not synchronizing.
-    """
-    states, trans = subset_reach(letters, n)
+def _reset_word_loop(letters, n):
+    """reset_word_bfs from _reach_loop's whole walk."""
+    states, trans = _reach_loop(letters, n)
     single = np.flatnonzero((states & (states - 1)) == 0)
     if not len(single):
         return None
     targets, first = np.unique(trans.ravel(), return_index=True)
     pos = np.empty(len(states), np.int64)
     pos[targets] = first
+    return _word(pos, int(single[0]), trans.shape[1])
+
+
+def _word(pos, t, L):
+    """The letters leading from state 0 to state t, where pos[s] is the
+    first occurrence of s in the row-major (S, L) transition table."""
     word = []
-    t = single[0]
     while t:
-        t, letter = divmod(int(pos[t]), trans.shape[1])
+        t, letter = divmod(int(pos[t]), L)
         word.append(letter)
     return word[::-1]
+
+
+def _walk_batches(letters, n):
+    """subset_reach's BFS in numpy, a batch of queued states at a time.
+
+    The queue loop gives each mask it has not seen a new index when it
+    first meets it, parent by parent, letter by letter.  A batch takes up
+    to WALK_BATCH states from the head of the queue, gathers their
+    successors parent-major, letter-minor, and indexes the unseen masks in
+    order of first occurrence, which is the order the loop would give them.
+    While a level holds at most WALK_BATCH states, a batch is a whole BFS
+    level.  The masks and transitions go into buffers sized for all 2^n
+    masks; only the written part of them is touched.
+
+    Yields, per batch, (states, trans, first): the masks indexed so far,
+    the transition rows filled so far, and for each mask the batch found,
+    its first position in trans.ravel(), which names its parent and letter.
+    The first yield is the full set alone, with first = [-1]; after the
+    last one, which finds nothing, trans is complete.
+    """
+    L = len(letters)
+    img_t = image_table(letters, n).T  # (2^n, L): gathering a batch is one take
+    full = (1 << n) - 1
+    index = np.full(1 << n, -1, np.int32)
+    states = np.empty(1 << n, np.int64)
+    trans = np.empty((1 << n, L), np.int32)
+    index[full] = 0
+    states[0] = full
+    yield states[:1], trans[:0], np.array([-1], np.int64)
+    lo, count = 0, 1
+    while lo < count:
+        hi = min(count, lo + WALK_BATCH)
+        succ = img_t[states[lo:hi]].ravel()
+        rows = trans[lo:hi].reshape(-1)
+        np.take(index, succ, out=rows)
+        fresh = np.flatnonzero(rows < 0)
+        found = succ[fresh]
+        order = found.argsort(kind="stable")
+        first = np.sort(order[_runs(found[order])[0]])  # positions in found
+        masks, first = found[first], fresh[first] + lo * L
+        stop = count + len(masks)
+        states[count:stop] = masks
+        index[masks] = np.arange(count, stop, dtype=np.int32)
+        rows[fresh] = index[found]
+        yield states[:stop], trans[:hi], first
+        lo, count = hi, stop
+
+
+def _reach_batched(letters, n):
+    """subset_reach from _walk_batches: the fast path for large tables."""
+    for states, trans, _ in _walk_batches(letters, n):
+        pass
+    return states, trans
+
+
+def _reset_word_batched(letters, n):
+    """reset_word_bfs from _walk_batches, stopping after the first batch
+    that finds a singleton."""
+    firsts = []
+    for states, _, first in _walk_batches(letters, n):
+        firsts.append(first)
+        start = len(states) - len(first)
+        new = states[start:]
+        single = np.flatnonzero((new & (new - 1)) == 0)
+        if len(single):
+            return _word(np.concatenate(firsts), start + int(single[0]), len(letters))
+    return None
 
 
 def pair_merge_table(letters, n):

@@ -129,6 +129,19 @@ def reset_word_oracle(letters, n):
     return word[::-1]
 
 
+def nth_random_automaton(rng, n, letters, k):
+    """The k-th automaton harness.random_automaton draws from rng."""
+    for _ in range(k):
+        A = harness.random_automaton(rng, n, letters)
+    return A
+
+
+def assert_same_arrays(got, want):
+    """Equal dtype, shape and bytes, array by array."""
+    for g, w in zip(got, want, strict=True):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
 def partition(labels):
     """The partition a labelling induces, independent of the label values."""
     blocks = {}
@@ -244,9 +257,7 @@ class TestSubsetAutomaton:
     def test_is_subset_reach(self):
         A = am.build_group_automaton(catalog.cyclic(5), t(1, 1, 2, 3, 4))
         got = am.build_subset_automaton(A)
-        want = _kernels.subset_reach(A.letter_array(), A.degree)
-        for g, w in zip(got, want, strict=True):
-            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+        assert_same_arrays(got, _kernels.subset_reach(A.letter_array(), A.degree))
 
     def test_permutations_only(self):
         G = catalog.symmetric(3)
@@ -317,10 +328,7 @@ class TestPowerSetWalk:
         assert img.shape == (len(A.letters), 1 << n) and img.dtype == np.int32
         for l, letter in enumerate(A.letters):
             assert img[l].tolist() == [letter.apply_mask(m) for m in range(1 << n)]
-        states, trans = _kernels.subset_reach(letters, n)
-        want_states, want_trans = subset_reach_oracle(letters, n)
-        for got, want in ((states, want_states), (trans, want_trans)):
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert_same_arrays(_kernels.subset_reach(letters, n), subset_reach_oracle(letters, n))
         assert am.shortest_reset_word(A) == reset_word_oracle(letters, n)
         if n >= 3:
             # condition 4's collapse DFA, read off the image table, against
@@ -337,6 +345,96 @@ class TestPowerSetWalk:
         # {1,2} is reached from {0,1,2} under letters 0 and 1
         A = SemiAutomaton(3, (t(1, 1, 2), t(2, 1, 2), t(0, 1, 1)))
         assert am.shortest_reset_word(A) == reset_word_oracle(A.letter_array(), 3) == [0, 2]
+
+
+# The eight automata perfbench's syn-dfa-random workload draws: reachable
+# subsets and reset-word length (None: not synchronizing).  Their walks have
+# levels of up to 12 136 subsets.
+RANDOM_16_WALKS = [(58651, 11), (11756, 9), (10997, 9), (28712, 6), (460, 8), (22819, None), (337, 6), (1, None)]
+
+WALK_FORMS = pytest.mark.parametrize(
+    "reach, reset_word",
+    [
+        (_kernels._reach_batched, _kernels._reset_word_batched),
+        (_kernels._reach_loop, _kernels._reset_word_loop),
+    ],
+    ids=["batched", "loop"],
+)
+
+
+class TestWalkForms:
+    """Both forms of the power-set walk and of the reset word on their own,
+    since subset_reach and reset_word_bfs send tables below
+    BATCHED_MIN_MASKS masks to the loop, and the dispatch between them."""
+
+    @WALK_FORMS
+    @settings(max_examples=300, deadline=None)
+    @given(automata())
+    def test_matches_bit_loop_oracles(self, reach, reset_word, A):
+        n, letters = A.degree, A.letter_array()
+        assert_same_arrays(reach(letters, n), subset_reach_oracle(letters, n))
+        assert reset_word(letters, n) == reset_word_oracle(letters, n)
+
+    @WALK_FORMS
+    def test_two_singletons_in_one_level(self, reach, reset_word):
+        # level 1 is {0,1}, {2,3}; level 2 is {1}, {2} from {0,1} and then
+        # {0}, {3} from {2,3}.  The word follows the first of them, {1},
+        # not the smallest mask, {0}, which [1, 0] reaches.
+        A = SemiAutomaton(4, (t(1, 1, 0, 0), t(2, 2, 3, 3)))
+        letters = A.letter_array()
+        states, _ = reach(letters, 4)
+        assert states[3:7].tolist() == [0b0010, 0b0100, 0b0001, 0b1000]
+        assert reset_word(letters, 4) == reset_word_oracle(letters, 4) == [0, 0]
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5])
+    def test_any_batch_size_gives_the_queue_order(self, batch, monkeypatch):
+        # batches of a few states end inside a level or span two levels
+        monkeypatch.setattr(_kernels, "WALK_BATCH", batch)
+        rng = SplitMix64(batch)
+        cases = [am.cerny_automaton(n) for n in (2, 5, 7)]
+        cases += [harness.random_automaton(rng, 8, letters) for letters in (1, 2, 3, 3)]
+        for A in cases:
+            letters = A.letter_array()
+            assert_same_arrays(
+                _kernels._reach_batched(letters, A.degree), _kernels._reach_loop(letters, A.degree)
+            )
+            assert _kernels._reset_word_batched(letters, A.degree) == reset_word_oracle(letters, A.degree)
+
+    @pytest.mark.parametrize(
+        "A, size, length",
+        [(am.cerny_automaton(n), (1 << n) - 1, (n - 1) ** 2) for n in range(13, 17)]
+        + [
+            (nth_random_automaton(SplitMix64(2021), 16, 3, k + 1), size, length)
+            for k, (size, length) in enumerate(RANDOM_16_WALKS)
+        ],
+        ids=[f"cerny-{n}" for n in range(13, 17)] + [f"random-16-{k}" for k in range(8)],
+    )
+    def test_forms_agree_on_large_tables(self, A, size, length):
+        n, letters = A.degree, A.letter_array()
+        states, trans = _kernels._reach_loop(letters, n)
+        word = _kernels._reset_word_loop(letters, n)
+        assert len(states) == size and (word if word is None else len(word)) == length
+        assert_same_arrays(_kernels._reach_batched(letters, n), (states, trans))
+        assert _kernels._reset_word_batched(letters, n) == word
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
+    def test_dispatch_at_the_threshold(self, offset, monkeypatch):
+        n = (_kernels.BATCHED_MIN_MASKS - 1).bit_length() + offset
+        assert (1 << n >= _kernels.BATCHED_MIN_MASKS) == (offset == 0)
+        called = []
+        for name in ("_reach_batched", "_reach_loop", "_reset_word_batched", "_reset_word_loop"):
+            def spy(letters, n, name=name, walk=getattr(_kernels, name)):
+                called.append(name)
+                return walk(letters, n)
+            monkeypatch.setattr(_kernels, name, spy)
+        letters = am.cerny_automaton(n).letter_array()
+        form = "loop" if offset < 0 else "batched"
+        states, _ = _kernels.subset_reach(letters, n)
+        assert called == [f"_reach_{form}"]
+        called.clear()
+        word = _kernels.reset_word_bfs(letters, n)
+        assert called[0] == f"_reset_word_{form}"  # _reset_word_loop calls _reach_loop
+        assert len(states) == (1 << n) - 1 and len(word) == (n - 1) ** 2
 
 
 class TestCompletelyReachable:
@@ -499,13 +597,6 @@ class TestPartitionRefinement:
         for old, i in new.items():
             assert merged[i].tolist() == [new.get(j, acc) for j in trans[old].tolist()]
         assert merged[acc].tolist() == [acc] * len(A.letters)
-
-
-def nth_random_automaton(rng, n, letters, k):
-    """The k-th automaton harness.random_automaton draws from rng."""
-    for _ in range(k):
-        A = harness.random_automaton(rng, n, letters)
-    return A
 
 
 REFINE_PATHS = pytest.mark.parametrize(
