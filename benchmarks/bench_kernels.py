@@ -1,7 +1,7 @@
 """Benchmark the hot kernels on two automata: the Černý automaton and
 the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
-On each, the power-set walk (subset_reach) and the reset word
-(reset_word_bfs) run as dispatched and in both of their forms, and the
+On each, the power-set walk (subset_reach) runs as dispatched and in
+both of its forms, the reset word (reset_word_bfs) is timed, and the
 merged Syn-DFA table is refined by moore_refine and by both of its paths.
 The pair table is timed on the Černý automaton.  One more
 row labels the degree-7 strong scan family (the 818 496 maps of rank 2..6)
@@ -51,8 +51,6 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
             ("  _reach_batched", "_reach_batched"),
             ("  _reach_loop", "_reach_loop"),
             (f"reset_word_bfs, {name}", "reset_word_bfs"),
-            ("  _reset_word_batched", "_reset_word_batched"),
-            ("  _reset_word_loop", "_reset_word_loop"),
         ]
         for label, func in walks:
             walk = getattr(_kernels, func)

@@ -8,8 +8,9 @@ per transition, and the reset-word search (reset_word_bfs) reads its
 answer, a list of letters or None, off that walk.  The walk has two
 forms that give the same arrays: a queue loop over array('i') buffers for
 small tables, and a numpy walk that expands a batch of queued states (up
-to a BFS level) at a time for tables of BATCHED_MIN_MASKS masks or more;
-there the reset word stops at the first batch that finds a singleton.
+to a BFS level) at a time for tables of BATCHED_MIN_MASKS masks or more.
+The reset word always takes the numpy walk and stops at the first batch
+that finds a singleton.
 The pair table (pair_merge_table) is a backward BFS from the diagonal over the letters'
 preimage lists; it never builds the power set and returns a symmetric
 bool matrix of the mergeable state pairs.  Partition refinement
@@ -54,7 +55,8 @@ def image_table(letters, n):
 # walks of few masks per level.  Measured crossovers: about n = 9 on random
 # 3-letter automata, n = 10 on S_n and D_n plus an idempotent (about 40
 # levels at n = 11), n = 13 on the Cerny automaton (158 levels of 52 masks
-# on average at n = 13).
+# on average at n = 13).  One threshold serves them all, so the Cerny
+# automaton at n = 11 and 12 walks 1.2 to 2.2 times slower than in the loop.
 BATCHED_MIN_MASKS = 1 << 11
 
 # The most states one batch of _walk_batches expands.  It bounds the batch's
@@ -80,16 +82,28 @@ def subset_reach(letters, n):
 def reset_word_bfs(letters, n):
     """Shortest word collapsing the full set to a singleton.
 
-    Read off subset_reach's BFS: the goal is the first singleton state, and
-    a state's parent is its first occurrence in the row-major transition
+    Read off _walk_batches, at every table size, up to the first batch
+    that finds a singleton: the goal is the first singleton state, and a
+    state's parent is its first occurrence in the row-major transition
     table (parent, then letter).  So the word is the lexicographically
     smallest among the minimum-length ones.  Returns the letters as a list,
-    or None when not synchronizing.  Dispatched like subset_reach, to
-    _reset_word_batched, which stops at the first singleton, or to
-    _reset_word_loop, which walks the whole power set first.
+    or None, after the whole walk, when not synchronizing.
     """
-    search = _reset_word_batched if 1 << n >= BATCHED_MIN_MASKS else _reset_word_loop
-    return search(letters, n)
+    L = len(letters)
+    firsts = []
+    for states, _, first in _walk_batches(letters, n):
+        firsts.append(first)
+        start = len(states) - len(first)
+        new = states[start:]
+        single = np.flatnonzero((new & (new - 1)) == 0)
+        if len(single):
+            pos = np.concatenate(firsts)
+            t, word = start + int(single[0]), []
+            while t:
+                t, letter = divmod(int(pos[t]), L)
+                word.append(letter)
+            return word[::-1]
+    return None
 
 
 def _reach_loop(letters, n):
@@ -111,28 +125,6 @@ def _reach_loop(letters, n):
                 states.append(m)
             trans.append(t)
     return np.frombuffer(states, np.int32).astype(np.int64), np.frombuffer(trans, np.int32).reshape(-1, L)
-
-
-def _reset_word_loop(letters, n):
-    """reset_word_bfs from _reach_loop's whole walk."""
-    states, trans = _reach_loop(letters, n)
-    single = np.flatnonzero((states & (states - 1)) == 0)
-    if not len(single):
-        return None
-    targets, first = np.unique(trans.ravel(), return_index=True)
-    pos = np.empty(len(states), np.int64)
-    pos[targets] = first
-    return _word(pos, int(single[0]), trans.shape[1])
-
-
-def _word(pos, t, L):
-    """The letters leading from state 0 to state t, where pos[s] is the
-    first occurrence of s in the row-major (S, L) transition table."""
-    word = []
-    while t:
-        t, letter = divmod(int(pos[t]), L)
-        word.append(letter)
-    return word[::-1]
 
 
 def _walk_batches(letters, n):
@@ -186,20 +178,6 @@ def _reach_batched(letters, n):
     for states, trans, _ in _walk_batches(letters, n):
         pass
     return states, trans
-
-
-def _reset_word_batched(letters, n):
-    """reset_word_bfs from _walk_batches, stopping after the first batch
-    that finds a singleton."""
-    firsts = []
-    for states, _, first in _walk_batches(letters, n):
-        firsts.append(first)
-        start = len(states) - len(first)
-        new = states[start:]
-        single = np.flatnonzero((new & (new - 1)) == 0)
-        if len(single):
-            return _word(np.concatenate(firsts), start + int(single[0]), len(letters))
-    return None
 
 
 def pair_merge_table(letters, n):

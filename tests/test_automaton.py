@@ -353,30 +353,24 @@ class TestPowerSetWalk:
 RANDOM_16_WALKS = [(58651, 11), (11756, 9), (10997, 9), (28712, 6), (460, 8), (22819, None), (337, 6), (1, None)]
 
 WALK_FORMS = pytest.mark.parametrize(
-    "reach, reset_word",
-    [
-        (_kernels._reach_batched, _kernels._reset_word_batched),
-        (_kernels._reach_loop, _kernels._reset_word_loop),
-    ],
-    ids=["batched", "loop"],
+    "reach", [_kernels._reach_batched, _kernels._reach_loop], ids=["batched", "loop"]
 )
 
 
 class TestWalkForms:
-    """Both forms of the power-set walk and of the reset word on their own,
-    since subset_reach and reset_word_bfs send tables below
-    BATCHED_MIN_MASKS masks to the loop, and the dispatch between them."""
+    """Both forms of the power-set walk on their own, since subset_reach
+    sends tables below BATCHED_MIN_MASKS masks to the loop, the dispatch
+    between them, and the reset word, which stops the numpy walk early."""
 
     @WALK_FORMS
     @settings(max_examples=300, deadline=None)
     @given(automata())
-    def test_matches_bit_loop_oracles(self, reach, reset_word, A):
+    def test_matches_bit_loop_oracles(self, reach, A):
         n, letters = A.degree, A.letter_array()
         assert_same_arrays(reach(letters, n), subset_reach_oracle(letters, n))
-        assert reset_word(letters, n) == reset_word_oracle(letters, n)
 
     @WALK_FORMS
-    def test_two_singletons_in_one_level(self, reach, reset_word):
+    def test_two_singletons_in_one_level(self, reach):
         # level 1 is {0,1}, {2,3}; level 2 is {1}, {2} from {0,1} and then
         # {0}, {3} from {2,3}.  The word follows the first of them, {1},
         # not the smallest mask, {0}, which [1, 0] reaches.
@@ -384,7 +378,7 @@ class TestWalkForms:
         letters = A.letter_array()
         states, _ = reach(letters, 4)
         assert states[3:7].tolist() == [0b0010, 0b0100, 0b0001, 0b1000]
-        assert reset_word(letters, 4) == reset_word_oracle(letters, 4) == [0, 0]
+        assert _kernels.reset_word_bfs(letters, 4) == reset_word_oracle(letters, 4) == [0, 0]
 
     @pytest.mark.parametrize("batch", [1, 2, 3, 5])
     def test_any_batch_size_gives_the_queue_order(self, batch, monkeypatch):
@@ -398,7 +392,7 @@ class TestWalkForms:
             assert_same_arrays(
                 _kernels._reach_batched(letters, A.degree), _kernels._reach_loop(letters, A.degree)
             )
-            assert _kernels._reset_word_batched(letters, A.degree) == reset_word_oracle(letters, A.degree)
+            assert _kernels.reset_word_bfs(letters, A.degree) == reset_word_oracle(letters, A.degree)
 
     @pytest.mark.parametrize(
         "A, size, length",
@@ -412,29 +406,24 @@ class TestWalkForms:
     def test_forms_agree_on_large_tables(self, A, size, length):
         n, letters = A.degree, A.letter_array()
         states, trans = _kernels._reach_loop(letters, n)
-        word = _kernels._reset_word_loop(letters, n)
+        word = reset_word_oracle(letters, n)
         assert len(states) == size and (word if word is None else len(word)) == length
         assert_same_arrays(_kernels._reach_batched(letters, n), (states, trans))
-        assert _kernels._reset_word_batched(letters, n) == word
+        assert _kernels.reset_word_bfs(letters, n) == word
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
     def test_dispatch_at_the_threshold(self, offset, monkeypatch):
         n = (_kernels.BATCHED_MIN_MASKS - 1).bit_length() + offset
         assert (1 << n >= _kernels.BATCHED_MIN_MASKS) == (offset == 0)
         called = []
-        for name in ("_reach_batched", "_reach_loop", "_reset_word_batched", "_reset_word_loop"):
+        for name in ("_reach_batched", "_reach_loop"):
             def spy(letters, n, name=name, walk=getattr(_kernels, name)):
                 called.append(name)
                 return walk(letters, n)
             monkeypatch.setattr(_kernels, name, spy)
-        letters = am.cerny_automaton(n).letter_array()
-        form = "loop" if offset < 0 else "batched"
-        states, _ = _kernels.subset_reach(letters, n)
-        assert called == [f"_reach_{form}"]
-        called.clear()
-        word = _kernels.reset_word_bfs(letters, n)
-        assert called[0] == f"_reset_word_{form}"  # _reset_word_loop calls _reach_loop
-        assert len(states) == (1 << n) - 1 and len(word) == (n - 1) ** 2
+        states, _ = _kernels.subset_reach(am.cerny_automaton(n).letter_array(), n)
+        assert called == ["_reach_loop" if offset < 0 else "_reach_batched"]
+        assert len(states) == (1 << n) - 1
 
 
 class TestCompletelyReachable:
