@@ -3,7 +3,10 @@ the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
 On each, the power-set walk (subset_reach) runs as dispatched and in
 both of its forms, the reset word (reset_word_bfs) is timed, and the
 merged Syn-DFA table is refined by moore_refine and by both of its paths.
-The pair table is timed on the Černý automaton.  One more
+The pair table is timed on the Černý automaton, and condition 3's check
+(the 2-subset collapse table, its refinement and the witness) on S_n and
+C_n plus the idempotent 1 1 2 ... at n = 5 and 8 and on the Černý
+automaton at the degree cap, 64.  One more
 row labels the degree-7 strong scan family (the 818 496 maps of rank 2..6)
 by orbit under S7 and under C7, as is_strongly_sync_maximal does before
 checking one map per orbit.
@@ -25,8 +28,9 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
 
     from syncprim import _kernels, catalog
     from syncprim import classify as cl
-    from syncprim.automaton import _merged_syn_dfa, cerny_automaton
+    from syncprim.automaton import _merged_syn_dfa, all_2subsets_distinguishable, build_group_automaton, cerny_automaton
     from syncprim.harness import random_automaton
+    from syncprim.perm import DEGREE_CAP, Transformation
     from syncprim.rng import SplitMix64
 
     A = cerny_automaton(degree)
@@ -42,6 +46,14 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
         return min(times)
 
     results = [("pair_merge_table, Cerny", best(lambda: _kernels.pair_merge_table(letters, degree)))]
+    pair_cases = [
+        (f"{name}{n} + 1 1 2 ...", build_group_automaton(group(n), Transformation((1, 1) + tuple(range(2, n)))))
+        for n in (5, 8)
+        for name, group in (("S", catalog.symmetric), ("C", catalog.cyclic))
+    ]
+    pair_cases.append((f"Cerny {DEGREE_CAP}", cerny_automaton(DEGREE_CAP)))
+    for label, B in pair_cases:
+        results.append((f"condition 3, {label}", best(lambda: all_2subsets_distinguishable(B))))
     R = random_automaton(SplitMix64(RANDOM_SEED), RANDOM_DEGREE, 3)
     for name, B in (("Cerny", A), (f"random n={RANDOM_DEGREE}", R)):
         B_letters, n = B.letter_array(), B.degree

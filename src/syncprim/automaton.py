@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -113,26 +114,20 @@ def _merged_syn_dfa(states: np.ndarray, trans: np.ndarray):
     return merged, acc
 
 
-def minimal_syn_dfa(A: SemiAutomaton, method: str = "refine") -> DfaSummary:
+def minimal_syn_dfa(A: SemiAutomaton) -> DfaSummary:
     """Size of the minimal DFA of the synchronizing language of A.
 
     Built from the reachable subset automaton with all singleton states
-    merged into one accepting state, then minimized.  method="refine" uses
-    Hopcroft partition refinement; method="pairwise" counts classes through
-    the independent pairwise-marking oracle.  When the language is empty
-    every state is equivalent and the count is 1 (the dead sink).
+    merged into one accepting state, then minimized by Hopcroft partition
+    refinement.  When the language is empty every state is equivalent and
+    the count is 1 (the dead sink).
     """
     _check_subset_cap(A)
     trans, acc = _merged_syn_dfa(*subset_reach(A.letter_array(), A.degree))
     init = np.zeros(trans.shape[0], dtype=np.int64)
     if acc is not None:
         init[acc] = 1
-    if method == "refine":
-        labels = moore_refine(trans, init)
-    elif method == "pairwise":
-        labels = _pairwise_classes(trans, init)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    labels = moore_refine(trans, init)
     return DfaSummary(int(labels.max()) + 1, 0 if acc is None else 1)
 
 
@@ -162,27 +157,6 @@ def _pairwise_classes(trans: np.ndarray, init: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _collapse_refinement(A: SemiAutomaton, masks: list[int]) -> np.ndarray:
-    """Refinement labels for the collapse DFA over the given non-singleton
-    masks.
-
-    States are the masks plus one absorbing sink entered when an image
-    drops out of the mask list (i.e. becomes a singleton).  Returns the
-    labels of the masks, aligned to `masks`.  Used on the C(n,2)
-    2-subsets, so it never builds a 2^n table.
-    """
-    index = {m: i for i, m in enumerate(masks)}
-    sink = len(masks)
-    L = len(A.letters)
-    trans = np.empty((sink + 1, L), dtype=np.int32)
-    for i, m in enumerate(masks):
-        for l, t in enumerate(A.letters):
-            img = t.apply_mask(m)
-            trans[i, l] = index.get(img, sink)
-    trans[sink] = sink
-    return _sink_refinement(trans, sink)
-
-
 def _sink_refinement(trans: np.ndarray, sink: int) -> np.ndarray:
     """Refinement labels of a collapse DFA whose last state, sink, is the
     only accepting one; returns the labels of the states before it."""
@@ -197,8 +171,40 @@ def _nonempty_subset_trans(A: SemiAutomaton) -> np.ndarray:
     return image_table(A.letter_array(), A.degree)[:, 1:].T - 1
 
 
-def _all_2subset_masks(n: int) -> list[int]:
-    return [(1 << a) | (1 << b) for a in range(n) for b in range(a + 1, n)]
+def _2subset_labels(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2-subsets {a[i], b[i]} in lexicographic order and their
+    refinement labels in the collapse DFA: one state per 2-subset plus an
+    absorbing sink entered when an image becomes a singleton.  Never builds
+    the power set."""
+    n = A.degree
+    a, b = np.array(list(combinations(range(n), 2)), np.intp).reshape(-1, 2).T
+    sink = len(a)
+    # index[x, y]: the state of {x, y}; the diagonal, a singleton, is the sink
+    index = np.full((n, n), sink, np.int32)
+    index[a, b] = index[b, a] = np.arange(sink, dtype=np.int32)
+    letters = A.letter_array()
+    trans = np.empty((sink + 1, len(letters)), np.int32)
+    trans[:sink] = index[letters[:, a], letters[:, b]].T
+    trans[sink] = sink
+    return a, b, _sink_refinement(trans, sink)
+
+
+def _first_pair(
+    a: np.ndarray, b: np.ndarray, candidates: np.ndarray
+) -> tuple[bool, Optional[tuple[frozenset[int], frozenset[int]]]]:
+    """(True, None) when no two distinct 2-subsets are candidates.
+    Otherwise False and the first candidate pair in lexicographic order.
+
+    candidates is a symmetric boolean matrix over the 2-subsets; its
+    diagonal is overwritten.  With a false diagonal, the first true entry
+    in row-major order lies above the diagonal: an entry (i, j) with j < i
+    would mirror a true entry in the earlier row j."""
+    np.fill_diagonal(candidates, False)
+    k = int(candidates.argmax())
+    if not candidates.flat[k]:
+        return True, None
+    i, j = divmod(k, len(a))
+    return False, (frozenset((int(a[i]), int(b[i]))), frozenset((int(a[j]), int(b[j]))))
 
 
 def all_2subsets_distinguishable(
@@ -210,33 +216,27 @@ def all_2subsets_distinguishable(
     Works on the C(n,2)-state collapse DFA, so it never builds the power
     set.  The witness is the first indistinguishable pair in lexicographic
     order."""
-    n = A.degree
-    masks = _all_2subset_masks(n)
-    if len(masks) < 2:
+    if A.degree < 3:
         return True, None
-    labels = _collapse_refinement(A, masks)
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if labels[i] == labels[j]:
-                return False, (mask_to_set(masks[i]), mask_to_set(masks[j]))
-    return True, None
+    a, b, labels = _2subset_labels(A)
+    if np.bincount(labels).max() == 1:
+        return True, None
+    return _first_pair(a, b, labels[:, None] == labels)
 
 
 def disjoint_2subsets_distinguishable(
     A: SemiAutomaton,
 ) -> tuple[bool, Optional[tuple[frozenset[int], frozenset[int]]]]:
     """Variant quantified over disjoint 2-subsets only."""
-    masks = _all_2subset_masks(A.degree)
-    if len(masks) < 2:
+    if A.degree < 3:
         return True, None
-    labels = _collapse_refinement(A, masks)
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j]:
-                continue
-            if labels[i] == labels[j]:
-                return False, (mask_to_set(masks[i]), mask_to_set(masks[j]))
-    return True, None
+    a, b, labels = _2subset_labels(A)
+    if np.bincount(labels).max() == 1:
+        return True, None
+    points = np.arange(A.degree)[:, None]
+    on = (points == a) | (points == b)
+    meets = on[a] | on[b]  # meets[i, j]: 2-subsets i and j share a point
+    return _first_pair(a, b, (labels[:, None] == labels) & ~meets)
 
 
 def _nonsingleton_masks(n: int) -> list[int]:
@@ -267,11 +267,6 @@ def _first_repeat(
     return False, (mask_to_set(int(masks[earlier[j]])), mask_to_set(int(masks[j])))
 
 
-def all_nonsingleton_distinguishable(A: SemiAutomaton) -> bool:
-    ok, _ = all_nonsingleton_distinguishable_witness(A)
-    return ok
-
-
 def all_nonsingleton_distinguishable_witness(
     A: SemiAutomaton,
 ) -> tuple[bool, Optional[tuple[frozenset[int], frozenset[int]]]]:
@@ -288,11 +283,6 @@ def all_nonsingleton_distinguishable_witness(
     # whole power set: kept rows in mask order, then the sink
     trans, sink = _merged_syn_dfa(masks, _nonempty_subset_trans(A))
     return _first_repeat(masks[big], _sink_refinement(trans, sink))
-
-
-def different_cardinality_reachable(A: SemiAutomaton) -> bool:
-    ok, _ = different_cardinality_reachable_witness(A)
-    return ok
 
 
 def different_cardinality_reachable_witness(

@@ -91,19 +91,25 @@ def enumerate_elements(G: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> list[Tra
     return list(iter_elements(G, cap))
 
 
+def _closure(G: GroupSpec, start, act) -> set:
+    """Everything the generators reach from start, where act(g, x) is the
+    image of x under g; in a finite group this is start's G-orbit."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for g in G.generators:
+            y = act(g, x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def orbit(G: GroupSpec, p: int) -> frozenset[int]:
     if not 0 <= p < G.degree:
         raise ValueError(f"point {p} outside [0, {G.degree})")
-    seen = {p}
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        for g in G.generators:
-            r = g(q)
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return frozenset(seen)
+    return frozenset(_closure(G, p, Transformation.__call__))
 
 
 def orbits(G: GroupSpec) -> list[frozenset[int]]:
@@ -129,17 +135,7 @@ def is_k_transitive(G: GroupSpec, k: int) -> bool:
     total = 1
     for i in range(k):
         total *= n - i
-    base = tuple(range(k))
-    seen = {base}
-    stack = [base]
-    while stack:
-        t = stack.pop()
-        for g in G.generators:
-            img = tuple(g(p) for p in t)
-            if img not in seen:
-                seen.add(img)
-                stack.append(img)
-    return len(seen) == total
+    return len(_closure(G, tuple(range(k)), lambda g, t: tuple(g(p) for p in t))) == total
 
 
 def is_k_homogeneous(G: GroupSpec, k: int) -> bool:
@@ -147,30 +143,11 @@ def is_k_homogeneous(G: GroupSpec, k: int) -> bool:
     n = G.degree
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    base = frozenset(range(k))
-    seen = {base}
-    stack = [base]
-    while stack:
-        s = stack.pop()
-        for g in G.generators:
-            img = g.apply_set(s)
-            if img not in seen:
-                seen.add(img)
-                stack.append(img)
-    return len(seen) == comb(n, k)
+    return len(set_orbit(G, frozenset(range(k)))) == comb(n, k)
 
 
 def set_orbit(G: GroupSpec, S: frozenset[int]) -> set[frozenset[int]]:
-    seen = {S}
-    stack = [S]
-    while stack:
-        s = stack.pop()
-        for g in G.generators:
-            img = g.apply_set(s)
-            if img not in seen:
-                seen.add(img)
-                stack.append(img)
-    return seen
+    return _closure(G, S, Transformation.apply_set)
 
 
 def _minimal_block(G: GroupSpec, a: int, b: int) -> list[frozenset[int]]:

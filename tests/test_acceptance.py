@@ -10,6 +10,7 @@ import time
 
 from syncprim import automaton as am, catalog, classify as cl, group as gr, harness, perm
 from syncprim.classify import MODE_ALL, MODE_IDEMPOTENTS
+from test_automaton import pairwise_state_count
 
 SEED_LARGE = 20260824
 SEED_SMALL = 7
@@ -148,7 +149,7 @@ def test_criterion_04_2subset_reduction():
     )
     for name, A in instances:
         checked += 1
-        full = am.all_nonsingleton_distinguishable(A)
+        full = am.all_nonsingleton_distinguishable_witness(A)[0]
         pairs = am.all_2subsets_distinguishable(A)[0]
         if full and not pairs:
             failures.append((name, "non-singletons distinguishable but 2-subsets not"))
@@ -189,8 +190,8 @@ def test_criterion_05_minimization_oracle_equivalence():
     )
     for name, A in instances:
         checked += 1
-        refine = am.minimal_syn_dfa(A, method="refine").state_count
-        pairwise = am.minimal_syn_dfa(A, method="pairwise").state_count
+        refine = am.minimal_syn_dfa(A).state_count
+        pairwise = pairwise_state_count(A)
         if refine != pairwise:
             failures.append((name, refine, pairwise))
     _report(5, failures, f"{checked} instances, exact state-count match required")
@@ -306,7 +307,7 @@ def test_criterion_09_slowly_synchronizing_family():
         # reachability plus distinguishable non-singleton subsets
         if not am.is_completely_reachable(A):
             failures.append((n, "not completely reachable"))
-        if not am.all_nonsingleton_distinguishable(A):
+        if not am.all_nonsingleton_distinguishable_witness(A)[0]:
             failures.append((n, "indistinguishable subsets"))
         worst = max(worst, time.perf_counter() - start)
         if worst >= 10:

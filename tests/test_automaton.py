@@ -129,6 +129,31 @@ def reset_word_oracle(letters, n):
     return word[::-1]
 
 
+def collapse_refinement_oracle(A, masks):
+    """Independent oracle for the collapse DFAs of conditions 3 and 4: the
+    refinement labels of the given non-singleton masks, with the table
+    built mask by mask.  A letter's image leaving the mask list (becoming a
+    singleton) enters one absorbing sink."""
+    index = {m: i for i, m in enumerate(masks)}
+    sink = len(masks)
+    trans = np.empty((sink + 1, len(A.letters)), dtype=np.int32)
+    for i, m in enumerate(masks):
+        for l, letter in enumerate(A.letters):
+            trans[i, l] = index.get(letter.apply_mask(m), sink)
+    trans[sink] = sink
+    return am._sink_refinement(trans, sink)
+
+
+def pairwise_state_count(A):
+    """minimal_syn_dfa's state count, with the classes counted by the
+    pairwise-marking oracle instead of Hopcroft refinement."""
+    trans, acc = am._merged_syn_dfa(*_kernels.subset_reach(A.letter_array(), A.degree))
+    init = np.zeros(len(trans), dtype=np.int64)
+    if acc is not None:
+        init[acc] = 1
+    return int(am._pairwise_classes(trans, init).max()) + 1
+
+
 def nth_random_automaton(rng, n, letters, k):
     """The k-th automaton harness.random_automaton draws from rng."""
     for _ in range(k):
@@ -335,7 +360,18 @@ class TestPowerSetWalk:
             # the mask-by-mask construction
             masks = am._nonsingleton_masks(n)
             trans, sink = am._merged_syn_dfa(np.arange(1, 1 << n), am._nonempty_subset_trans(A))
-            assert partition(am._sink_refinement(trans, sink)) == partition(am._collapse_refinement(A, masks))
+            assert partition(am._sink_refinement(trans, sink)) == partition(collapse_refinement_oracle(A, masks))
+
+    @settings(max_examples=300, deadline=None)
+    @given(automata())
+    def test_pair_table_matches_the_mask_by_mask_oracle(self, A):
+        # conditions 3 and 6's collapse DFA over the 2-subsets, read off the
+        # letter array; n = 1 has no 2-subset and n = 2 has one
+        n = A.degree
+        masks = [(1 << x) | (1 << y) for x in range(n) for y in range(x + 1, n)]
+        a, b, labels = am._2subset_labels(A)
+        assert ((1 << a) | (1 << b)).tolist() == masks
+        assert partition(labels) == partition(collapse_refinement_oracle(A, masks))
 
     def test_reset_word_takes_the_first_parent(self):
         # {0} is reached from {0,1,2} under letter 0, and later from {0,1};
@@ -482,10 +518,7 @@ class TestMinimalSynDfa:
             am.build_group_automaton(catalog.cyclic(4), t(1, 1, 2, 3)),
             SemiAutomaton(3, (perm.parse_cycles("(0 1 2)", 3),)),
         ):
-            assert (
-                am.minimal_syn_dfa(A, method="refine").state_count
-                == am.minimal_syn_dfa(A, method="pairwise").state_count
-            )
+            assert am.minimal_syn_dfa(A).state_count == pairwise_state_count(A)
 
     def test_maximality_three_way_consistency(self):
         # count = 2^n - n iff all size>=2 subsets plus a singleton reachable
@@ -504,7 +537,7 @@ class TestMinimalSynDfa:
             reach_ok = big <= set(states.tolist()) and any(
                 s & (s - 1) == 0 for s in states.tolist()
             )
-            assert maximal == (reach_ok and am.all_nonsingleton_distinguishable(A))
+            assert maximal == (reach_ok and am.all_nonsingleton_distinguishable_witness(A)[0])
 
 
 class TestPartitionRefinement:
@@ -723,7 +756,7 @@ class TestDistinguishability:
 
     def test_nonsingleton_permutation_only(self):
         A = SemiAutomaton(3, catalog.symmetric(3).generators)
-        assert not am.all_nonsingleton_distinguishable(A)
+        assert not am.all_nonsingleton_distinguishable_witness(A)[0]
 
     def test_2subsets_imply_nonsingleton(self):
         # the two notions coincide on these group automata
@@ -734,7 +767,7 @@ class TestDistinguishability:
         ]:
             A = am.build_group_automaton(G, f)
             two, _ = am.all_2subsets_distinguishable(A)
-            assert two == am.all_nonsingleton_distinguishable(A)
+            assert two == am.all_nonsingleton_distinguishable_witness(A)[0]
 
     def test_2subsets_do_not_imply_nonsingleton_in_general(self):
         # point 3 is fixed by both letters and the only collision funnels
@@ -747,9 +780,36 @@ class TestDistinguishability:
         S, T = wit
         assert am.distinguish_witness(A, S, T) is None
 
+    def test_at_the_degree_cap(self):
+        # the pair table has no power-set cap: at n = 64 bit 63 is in play.
+        # The Cerny automaton's Syn-DFA has 2^n - n states, so all its
+        # non-singletons are distinguishable; a group alone collapses none.
+        n = perm.DEGREE_CAP
+        A = am.cerny_automaton(n)
+        assert am.all_2subsets_distinguishable(A) == (True, None)
+        assert am.disjoint_2subsets_distinguishable(A) == (True, None)
+        B = SemiAutomaton(n, catalog.cyclic(n).generators)
+        assert am.all_2subsets_distinguishable(B) == (False, (frozenset({0, 1}), frozenset({0, 2})))
+        assert am.disjoint_2subsets_distinguishable(B) == (False, (frozenset({0, 1}), frozenset({2, 3})))
+
+    @settings(max_examples=200, deadline=None)
+    @given(automata(max_states=6))
+    def test_witness_is_the_first_pair_the_product_bfs_cannot_split(self, A):
+        # the pairs of 2-subsets in lexicographic order of their indices;
+        # the first that no word distinguishes is condition 3's witness,
+        # and the first disjoint one is condition 6's
+        subsets = [frozenset((x, y)) for x in range(A.degree) for y in range(x + 1, A.degree)]
+        pairs = [(S, T) for i, S in enumerate(subsets) for T in subsets[i + 1 :]]
+        for check, candidates in (
+            (am.all_2subsets_distinguishable, pairs),
+            (am.disjoint_2subsets_distinguishable, [(S, T) for S, T in pairs if not S & T]),
+        ):
+            first = next((p for p in candidates if am.distinguish_witness(A, *p) is None), None)
+            assert check(A) == (first is None, first)
+
     def test_different_cardinality(self):
         A = am.build_group_automaton(catalog.cyclic(5), t(1, 1, 2, 3, 4))
-        assert am.different_cardinality_reachable(A)
+        assert am.different_cardinality_reachable_witness(A)[0]
         B = SemiAutomaton(4, catalog.cyclic(4).generators)
         ok, pair = am.different_cardinality_reachable_witness(B)
         assert not ok and pair is not None

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from syncprim import catalog, group as gr, perm
@@ -122,6 +124,24 @@ class TestHomogeneity:
 
     def test_full_set_always_homogeneous(self):
         assert gr.is_k_homogeneous(gr.trivial_group(3), 3)
+
+
+class TestOrbitsAgainstElements:
+    """The generator-closure BFS against images over every group element,
+    as the benchmark checks 4-transitivity."""
+
+    @pytest.mark.parametrize("entry", catalog.builtin_catalog(6), ids=lambda e: e.name)
+    def test_catalog(self, entry):
+        G, n = entry.group, entry.group.degree
+        elements = gr.enumerate_elements(G)
+        for p in range(n):
+            assert gr.orbit(G, p) == {g(p) for g in elements}
+        for k in range(1, n + 1):
+            tuples = {tuple(g(p) for p in range(k)) for g in elements}
+            sets = {g.apply_set(range(k)) for g in elements}
+            assert gr.is_k_transitive(G, k) == (len(tuples) == math.perm(n, k))
+            assert gr.is_k_homogeneous(G, k) == (len(sets) == math.comb(n, k))
+            assert gr.set_orbit(G, frozenset(range(k))) == sets
 
 
 class TestPrimitivity:
