@@ -9,6 +9,7 @@ infeasible ("skipped", never guessed).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,6 +36,9 @@ REPORT_SCHEMA = "syncprim-report/1"
 # A scan family: its size, the map at a position, and the moves, one int32
 # array per generator move sending each position to the moved map's.
 Family = tuple[int, Callable[[int], Transformation], list[np.ndarray]]
+# A scan: the family's size, the map at a position, and the positions to
+# check, in increasing order.
+Scan = tuple[int, Callable[[int], Transformation], list[int]]
 # A predicate's test of one map: whether it passes, and the witness's
 # details when it fails.
 Check = Callable[[Transformation], tuple[bool, Optional[dict]]]
@@ -167,20 +171,29 @@ def _orbit_labels(size: int, moves: list[np.ndarray]) -> np.ndarray:
             return label
 
 
-def _scan(family: Family, check: Check) -> tuple[bool, Optional[dict], int]:
-    """Run check over one map per orbit of the family; the first
-    counterexample in family order wins.
+def _representatives(family: Family) -> Scan:
+    """The scan of one map per orbit of the family: the positions that
+    come first in their orbit (see _orbit_labels).
 
     Every predicate depends only on the monoid <G, f>, and <G, f> =
-    <G, g f h> for g, h in G, so check gives the same verdict on a whole
-    orbit.  The scan checks, in family order, the maps that come first in
-    their orbit (see _orbit_labels).  The first failing map is the first
-    of its orbit, so it is always checked: the witness is the one a
-    map-by-map scan finds, and scanned is that map's position + 1, or the
-    family's size when all pass."""
+    <G, g f h> for g, h in G, so a check gives the same verdict on a whole
+    orbit.  The first failing map of a family is the first of its orbit,
+    so a scan of the representatives still meets it."""
     size, map_at, moves = family
     label = _orbit_labels(size, moves)
-    for i in np.flatnonzero(label == np.arange(size)).tolist():
+    return size, map_at, np.flatnonzero(label == np.arange(size)).tolist()
+
+
+def _scan(scan: Scan, check: Check) -> tuple[bool, Optional[dict], int]:
+    """Run check over the scan's positions in order; the first
+    counterexample wins.
+
+    Given the positions of _representatives, or any of their tails that
+    starts at or before the first failing map, the witness is the one a
+    map-by-map scan of the family finds, and scanned is that map's
+    position + 1, or the family's size when all pass."""
+    size, map_at, positions = scan
+    for i in positions:
         f = map_at(i)
         ok, extra = check(f)
         if not ok:
@@ -191,11 +204,19 @@ def _scan(family: Family, check: Check) -> tuple[bool, Optional[dict], int]:
     return True, None, size
 
 
-def _scan_mode(G: GroupSpec, mode: str, check: Check) -> PredicateResult:
+def _mode_feasible(G: GroupSpec, mode: str) -> bool:
+    return not (mode == MODE_ALL and G.degree > ALL_MAPS_CAP)
+
+
+def _scan_mode(G: GroupSpec, mode: str, check: Check, scan: Optional[Scan]) -> PredicateResult:
+    """The mode's scan over scan's positions, or, without scan, over
+    the orbit representatives of the mode's family built here."""
     n = G.degree
-    if mode == MODE_ALL and n > ALL_MAPS_CAP:
+    if not _mode_feasible(G, mode):
         return PredicateResult(None, reason=f"all-map table infeasible: {n}^{n} = {n**n} maps")
-    return PredicateResult(*_scan(_family(G, mode), check))
+    if scan is None:
+        scan = _representatives(_family(G, mode))
+    return PredicateResult(*_scan(scan, check))
 
 
 def _timed(func):
@@ -205,14 +226,17 @@ def _timed(func):
     return result
 
 
-def is_sync_maximal(G: GroupSpec, mode: str = MODE_IDEMPOTENTS) -> PredicateResult:
+def is_sync_maximal(
+    G: GroupSpec, mode: str = MODE_IDEMPOTENTS, *, scan: Optional[Scan] = None
+) -> PredicateResult:
     """Whether every adjoined rank n-1 map yields a synchronizing language
-    whose minimal DFA has the maximum 2^n - n states."""
+    whose minimal DFA has the maximum 2^n - n states.  scan is classify's
+    shared family; alone, the function builds its own."""
     def run():
         n = G.degree
         if n > am.SUBSET_CAP:
             return PredicateResult(None, reason=f"degree {n} exceeds power-set cap")
-        return _scan_mode(G, mode, _sync_maximal_check(G))
+        return _scan_mode(G, mode, _sync_maximal_check(G), scan)
 
     return _timed(run)
 
@@ -258,14 +282,18 @@ def _condition_check(G: GroupSpec, index: int) -> Check:
     return check
 
 
-def condition(G: GroupSpec, index: int, mode: str = MODE_IDEMPOTENTS) -> PredicateResult:
+def condition(
+    G: GroupSpec, index: int, mode: str = MODE_IDEMPOTENTS, *, scan: Optional[Scan] = None
+) -> PredicateResult:
     """One of the six characterization conditions.
 
     (1) primitivity; (2) complete reachability for every f; (3) all 2-subsets
     distinguishable; (4) all non-singleton subsets distinguishable; (5) every
     two non-singleton subsets mappable to different cardinalities; (6) like
     (3) for disjoint 2-subsets.  Their full equivalence needs degree >= 5;
-    each condition is still computed at any degree."""
+    each condition is still computed at any degree.  scan is classify's
+    share of the family (see classify); alone, the function builds its
+    own and checks one map per orbit."""
     if index not in range(1, 7):
         raise ValueError(f"condition index {index} outside 1..6")
 
@@ -278,7 +306,7 @@ def condition(G: GroupSpec, index: int, mode: str = MODE_IDEMPOTENTS) -> Predica
             return PredicateResult(prim, witness)
         if index in (2, 4, 5) and G.degree > am.SUBSET_CAP:
             return PredicateResult(None, reason=f"degree {G.degree} exceeds power-set cap")
-        return _scan_mode(G, mode, _condition_check(G, index))
+        return _scan_mode(G, mode, _condition_check(G, index), scan)
 
     return _timed(run)
 
@@ -294,7 +322,8 @@ def is_strongly_sync_maximal(G: GroupSpec) -> PredicateResult:
                 None, reason=f"full map scan infeasible: {n}^{n} = {n**n} maps"
             )
         # condition 3's check, over all ranks 2..n-1
-        return PredicateResult(*_scan(_map_family(G, range(2, n)), _condition_check(G, 3)))
+        scan = _representatives(_map_family(G, range(2, n)))
+        return PredicateResult(*_scan(scan, _condition_check(G, 3)))
 
     return _timed(run)
 
@@ -307,18 +336,40 @@ def classify(
     with_strong: bool = True,
 ) -> ClassificationReport:
     """Run all predicates and collect the report.  Predicates exceeding a
-    cap come back skipped, never guessed."""
+    cap come back skipped, never guessed.
+
+    The scans share one family and its orbit representatives, built once
+    per call.  At n >= 3 a map that passes the sync-max check passes
+    conditions 2-6 as well.  Its minimal Syn-DFA has 2^n - n states, so
+    some singleton is reachable and every non-singleton subset is
+    reachable and apart from every other one: that is condition 4, and
+    conditions 3 and 6 are parts of it.  A word that sends one of two
+    subsets to a singleton and the other not sends them to different
+    cardinalities (condition 5).  The reachable subsets include every
+    (n-1)-subset, so the G-orbit of the point missing from im f is [n]:
+    G is transitive and every singleton is reachable (condition 2).  At
+    n = 2 that step fails: the trivial group is sync-maximal, but f = 0 0
+    leaves {1} unreachable.  So the conditions check the representatives
+    from sync-max's first failing map on.  The first failing map of each
+    condition lies there, so values, witnesses and scanned counts are
+    those of the standalone scans."""
     report = ClassificationReport(G, name)
     preds = report.predicates
+    scan = _representatives(_family(G, mode)) if _mode_feasible(G, mode) else None
 
     preds["transitive"] = _timed(lambda: PredicateResult(gr.is_transitive(G)))
     prim = condition(G, 1)
     preds["primitive"] = prim
-    preds["sync_maximal"] = is_sync_maximal(G, mode)
-    preds["completely_reachable_all_f"] = condition(G, 2, mode)
+    sync_max = is_sync_maximal(G, mode, scan=scan)
+    preds["sync_maximal"] = sync_max
+    if scan is not None and G.degree >= 3 and sync_max.value is not None:
+        size, map_at, reps = scan
+        first = size if sync_max.value else sync_max.scanned - 1
+        scan = size, map_at, reps[bisect_left(reps, first):]
+    preds["completely_reachable_all_f"] = condition(G, 2, mode, scan=scan)
     if with_conditions:
         for i in range(3, 7):
-            preds[f"condition_{i}"] = condition(G, i, mode)
+            preds[f"condition_{i}"] = condition(G, i, mode, scan=scan)
         preds["condition_1"] = prim
         preds["condition_2"] = preds["completely_reachable_all_f"]
     if with_strong:

@@ -58,7 +58,15 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS) -> VerifySumm
     Checks, per group: sync-maximal = primitive, complete reachability for
     every f = primitive, and (degree >= 5) pairwise agreement of all six
     conditions.  At degree < 5 a true condition (6) on an imprimitive group
-    is recorded as an expected divergence, not a violation."""
+    is recorded as an expected divergence, not a violation.
+
+    classify does not recheck, for conditions 2-6, the maps that passed
+    sync-max, because a pass there implies passes of those conditions.  So
+    on a sync-maximal group conditions 2-6 come out true by those
+    implications, not by scans of their own, and the six-way agreement
+    adds no separate computation beyond primitivity.  The independent
+    check is the standalone is_sync_maximal and condition, which the tests
+    compare with classify, and the tests of the implications map by map."""
     if max_degree > 6:
         raise ValueError("verification battery capped at degree 6")
     summary = VerifySummary(mode, max_degree)

@@ -353,7 +353,7 @@ class TestOrbitScan:
             seen.append(f)
             return True, None
 
-        assert cl._scan(family, passing) == (True, None, size)
+        assert cl._scan(cl._representatives(family), passing) == (True, None, size)
         assert len(seen) == checked
         assert len(set(seen)) == checked
 
@@ -408,3 +408,71 @@ class TestOrbitScan:
         moved = perm.compose(perm.compose(g, f), h)
         checks = [cl._sync_maximal_check(G)] + [cl._condition_check(G, i) for i in range(2, 7)]
         assert [c(f)[0] for c in checks] == [c(moved)[0] for c in checks]
+
+
+class TestSharedScan:
+    """classify shares one family between its scans and skips, in the
+    conditions' scans, the maps that passed sync-max."""
+
+    @pytest.mark.parametrize("mode", [MODE_IDEMPOTENTS, MODE_ALL])
+    def test_degree_2_condition_2_is_not_skipped(self, mode):
+        # the trivial group of degree 2 is sync-maximal, yet f = 0 0
+        # leaves {1} unreachable: the skip would hide this at n = 2
+        G = gr.trivial_group(2)
+        preds = cl.classify(G, mode=mode).predicates
+        assert preds["sync_maximal"].value is True
+        want = (False, {"f": "0 0", "unreachable": "{1}"}, 1)
+        assert _triple(preds["condition_2"]) == _triple(cl.condition(G, 2, mode)) == want
+
+    def test_sync_maximal_maps_pass_every_condition(self):
+        # the fact the skip rests on, map by map over every rank n-1 map
+        passed = total = 0
+        for entry in _oracle_entries(5):
+            G = entry.group
+            if G.degree < 3:
+                continue
+            sync_maximal = cl._sync_maximal_check(G)
+            checks = [cl._condition_check(G, i) for i in range(2, 7)]
+            size, map_at, _ = cl._family(G, MODE_ALL)
+            total += size
+            for i in range(size):
+                f = map_at(i)
+                if sync_maximal(f)[0]:
+                    passed += 1
+                    assert [c(f)[0] for c in checks] == [True] * 5, (entry.name, f)
+        assert (passed, total) == (6792, 11562)
+
+    @pytest.mark.parametrize("mode", [MODE_IDEMPOTENTS, MODE_ALL])
+    def test_classify_matches_the_standalone_predicates(self, mode):
+        # the catalog starts with trivial_1 and trivial_2, so degrees 1 and
+        # 2, where nothing is skipped, are compared too
+        for entry in _oracle_entries(6):
+            G = entry.group
+            preds = cl.classify(G, entry.name, mode, with_strong=False).predicates
+            assert _triple(preds["sync_maximal"]) == _triple(cl.is_sync_maximal(G, mode)), entry.name
+            for i in range(2, 7):
+                alone = cl.condition(G, i, mode)
+                assert _triple(preds[f"condition_{i}"]) == _triple(alone), (entry.name, i)
+
+    @pytest.mark.parametrize(
+        "G, more",
+        [(catalog.symmetric(6), False), (catalog.cyclic(7), False), (catalog.cyclic(6), True)],
+    )
+    def test_conditions_check_only_from_the_first_sync_max_failure(self, G, more, monkeypatch):
+        calls = []
+        build = am.build_group_automaton
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(am, "build_group_automaton", counted)
+        cl.is_sync_maximal(G)
+        alone = len(calls)
+        calls.clear()
+        cl.classify(G, with_strong=False)
+        assert (len(calls) > alone) if more else (len(calls) == alone)
+
+
+def _triple(res):
+    return res.value, res.witness, res.scanned
