@@ -6,10 +6,13 @@ merged Syn-DFA table is refined by moore_refine and by both of its paths.
 The pair table is timed on the Černý automaton, and condition 3's check
 (the 2-subset collapse table, its refinement and the witness) on S_n and
 C_n plus the idempotent 1 1 2 ... at n = 5 and 8 and on the Černý
-automaton at the degree cap, 64.  One more
-row labels the degree-7 strong scan family (the 818 496 maps of rank 2..6)
-by orbit under S7 and under C7, as is_strongly_sync_maximal does before
-checking one map per orbit.
+automaton at the degree cap, 64.  The loop forms of the walk and of
+refinement are also timed at sizes production sends them: the merged
+Syn-DFA of S8 plus the map 1 1 2 ... (255 masks) and of the Černý
+automaton at n = 10 (1 014 rows).  One more row labels the degree-7
+strong scan family (the 818 496 maps of rank 2..6) by orbit under S7 and
+under C7, as is_strongly_sync_maximal does before checking one map per
+orbit.
 
 Prints the best of R runs of each kernel, in milliseconds.
 
@@ -45,6 +48,16 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
             times.append(time.perf_counter() - start)
         return min(times)
 
+    def syn_dfa_table(B_letters, n):
+        # the table minimal_syn_dfa refines: the subset automaton with its
+        # singletons merged into one accepting sink
+        states, trans = _kernels.subset_reach(B_letters, n)
+        merged, acc = _merged_syn_dfa(states, trans)
+        init = np.zeros(len(merged), dtype=np.int64)
+        if acc is not None:
+            init[acc] = 1
+        return states, merged, init
+
     results = [("pair_merge_table, Cerny", best(lambda: _kernels.pair_merge_table(letters, degree)))]
     pair_cases = [
         (f"{name}{n} + 1 1 2 ...", build_group_automaton(group(n), Transformation((1, 1) + tuple(range(2, n)))))
@@ -57,7 +70,7 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
     R = random_automaton(SplitMix64(RANDOM_SEED), RANDOM_DEGREE, 3)
     for name, B in (("Cerny", A), (f"random n={RANDOM_DEGREE}", R)):
         B_letters, n = B.letter_array(), B.degree
-        states, trans = _kernels.subset_reach(B_letters, n)
+        states, merged, init = syn_dfa_table(B_letters, n)
         walks = [
             (f"subset_reach, {name} ({len(states)} states)", "subset_reach"),
             ("  _reach_batched", "_reach_batched"),
@@ -67,16 +80,20 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
         for label, func in walks:
             walk = getattr(_kernels, func)
             results.append((label, best(lambda: walk(B_letters, n))))
-        # the table minimal_syn_dfa refines: the subset automaton with its
-        # singletons merged into one accepting sink
-        merged, acc = _merged_syn_dfa(states, trans)
-        init = np.zeros(len(merged), dtype=np.int64)
-        if acc is not None:
-            init[acc] = 1
         results.append((f"moore_refine, {name} ({len(merged)} rows)", best(lambda: _kernels.moore_refine(merged, init))))
         for path in ("_refine_rounds", "_refine_loop"):
             refine = getattr(_kernels, path)
             results.append((f"  {path}", best(lambda: refine(merged, init))))
+
+    small_cases = [
+        ("S8 + 1 1 2 ...", build_group_automaton(catalog.symmetric(8), Transformation((1, 1) + tuple(range(2, 8))))),
+        ("Cerny 10", cerny_automaton(10)),
+    ]
+    for name, B in small_cases:
+        B_letters, n = B.letter_array(), B.degree
+        states, merged, init = syn_dfa_table(B_letters, n)
+        results.append((f"_reach_loop, {name} ({len(states)} states)", best(lambda: _kernels._reach_loop(B_letters, n))))
+        results.append((f"_refine_loop, {name} ({len(merged)} rows)", best(lambda: _kernels._refine_loop(merged, init))))
 
     def strong_representatives():
         for G in (catalog.symmetric(7), catalog.cyclic(7)):

@@ -6,26 +6,24 @@ bitmask: it tabulates every letter's image of every mask, so the
 breadth-first walk over the power set (subset_reach) is a table lookup
 per transition, and the reset-word search (reset_word_bfs) reads its
 answer, a list of letters or None, off that walk.  The walk has two
-forms that give the same arrays: a queue loop over array('i') buffers for
-small tables, and a numpy walk that expands a batch of queued states (up
-to a BFS level) at a time for tables of BATCHED_MIN_MASKS masks or more.
+forms that give the same arrays: a queue loop over lists for small
+tables, and a numpy walk that expands a batch of queued states (up to a
+BFS level) at a time for tables of BATCHED_MIN_MASKS masks or more.
 The reset word always takes the numpy walk and stops at the first batch
 that finds a singleton.
 The pair table (pair_merge_table) is a backward BFS from the diagonal over the letters'
 preimage lists; it never builds the power set and returns a symmetric
 bool matrix of the mergeable state pairs.  Partition refinement
 (Hopcroft's algorithm, moore_refine) has two paths that give the same
-partition: a Python loop over flat array('i') buffers for small tables,
-and a numpy version that splits on a whole worklist per round for tables
-of ROUNDS_MIN_ROWS rows or more, such as the Syn-DFA tables of the power
+partition: a Python loop over flat lists for small tables, and a numpy
+version that splits on a whole worklist per round for tables of
+ROUNDS_MIN_ROWS rows or more, such as the Syn-DFA tables of the power
 set.
 benchmarks/bench_kernels.py times the kernels, both walk forms and both
 refinement paths.
 """
 
 from __future__ import annotations
-
-from array import array
 
 import numpy as np
 
@@ -107,16 +105,16 @@ def reset_word_bfs(letters, n):
 
 
 def _reach_loop(letters, n):
-    """subset_reach as a queue loop over array('i') buffers, one Python
-    step per transition: the fast path for small tables."""
+    """subset_reach as a queue loop over lists, one Python step per
+    transition: the fast path for small tables."""
     L = len(letters)
-    tab = [memoryview(row) for row in image_table(letters, n)]
+    tab = image_table(letters, n).tolist()
     full = (1 << n) - 1
-    index = array("i", [-1]) * (1 << n)
+    index = [-1] * (1 << n)
     index[full] = 0
-    states = array("i", [full])
-    trans = array("i")
-    for s in states:  # the array grows while it is iterated: a queue
+    states = [full]
+    trans = []
+    for s in states:  # the list grows while it is iterated: a queue
         for row in tab:
             m = row[s]
             t = index[m]
@@ -124,7 +122,7 @@ def _reach_loop(letters, n):
                 t = index[m] = len(states)
                 states.append(m)
             trans.append(t)
-    return np.frombuffer(states, np.int32).astype(np.int64), np.frombuffer(trans, np.int32).reshape(-1, L)
+    return np.array(states, np.int64), np.array(trans, np.int32).reshape(-1, L)
 
 
 def _walk_batches(letters, n):
@@ -192,16 +190,16 @@ def pair_merge_table(letters, n):
     for pre_l, row in zip(pre, np.asarray(letters).tolist()):
         for i, x in enumerate(row):
             pre_l[x].append(i)
-    good = np.eye(n, dtype=bool)
+    good = [[p == q for q in range(n)] for p in range(n)]
     queue = [(r, r) for r in range(n)]
     for r, s in queue:  # the list grows while it is iterated: a queue
         for pre_l in pre:
             for p in pre_l[r]:
                 for q in pre_l[s]:
-                    if not good[p, q]:
-                        good[p, q] = good[q, p] = True
+                    if not good[p][q]:
+                        good[p][q] = good[q][p] = True
                         queue.append((p, q))
-    return good
+    return np.array(good, bool)
 
 
 # Tables with at least this many rows are refined by _refine_rounds, smaller
@@ -265,16 +263,9 @@ def _initial_partition(trans, init_labels):
     return labels, sizes, elems, loc, first, end, pre, off
 
 
-def _buffer(values) -> array:
-    """An array('i') holding the given integers."""
-    out = array("i")
-    out.frombytes(np.ascontiguousarray(values, dtype=np.int32).tobytes())
-    return out
-
-
 def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
-    """Hopcroft's algorithm, one Python step per preimage, over array('i')
-    buffers: the fast path for small tables.
+    """Hopcroft's algorithm, one Python step per preimage, over lists: the
+    fast path for small tables.
 
     The partition is a flat refinable partition (Valmari & Lehtinen,
     "Efficient minimization of DFAs with partial transition functions",
@@ -297,9 +288,9 @@ def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     S = len(labels)
     if S == 0:
         return labels.astype(np.int64)
-    elems, loc, first, end, sidx = map(_buffer, (elems, loc, first, end, labels))
-    pre, off = [_buffer(x) for x in pre], [_buffer(x) for x in off]
-    mid = array("i", first)
+    elems, loc, first, end, sidx = (x.tolist() for x in (elems, loc, first, end, labels))
+    pre, off = [x.tolist() for x in pre], [x.tolist() for x in off]
+    mid = first[:]
     k = len(sizes)
     largest = int(np.argmax(sizes))
     worklist = [b for b in range(k) if b != largest]
@@ -343,7 +334,7 @@ def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
             touched.clear()
             if count == S:
                 break
-    return np.frombuffer(sidx, dtype=np.int32).astype(np.int64)
+    return np.array(sidx, np.int64)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -131,32 +131,6 @@ def minimal_syn_dfa(A: SemiAutomaton) -> DfaSummary:
     return DfaSummary(int(labels.max()) + 1, 0 if acc is None else 1)
 
 
-def _pairwise_classes(trans: np.ndarray, init: np.ndarray) -> np.ndarray:
-    """Equivalence classes by iterated pairwise marking (table filling).
-
-    Independent oracle for the partition refinement path: a pair is marked
-    when its initial labels differ, or when some letter sends it to a
-    marked pair; rounds repeat until none marks a new pair.
-    """
-    S = trans.shape[0]
-    marked = init[:, None] != init[None, :]
-    count = np.count_nonzero(marked)
-    while True:
-        for t in trans.T:
-            marked |= marked[t[:, None], t[None, :]]
-        new_count = np.count_nonzero(marked)
-        if new_count == count:
-            break
-        count = new_count
-    labels = np.full(S, -1, dtype=np.int64)
-    nxt = 0
-    for p in range(S):
-        if labels[p] < 0:
-            labels[~marked[p] & (labels < 0)] = nxt
-            nxt += 1
-    return labels
-
-
 def _sink_refinement(trans: np.ndarray, sink: int) -> np.ndarray:
     """Refinement labels of a collapse DFA whose last state, sink, is the
     only accepting one; returns the labels of the states before it."""
@@ -237,10 +211,6 @@ def disjoint_2subsets_distinguishable(
     on = (points == a) | (points == b)
     meets = on[a] | on[b]  # meets[i, j]: 2-subsets i and j share a point
     return _first_pair(a, b, (labels[:, None] == labels) & ~meets)
-
-
-def _nonsingleton_masks(n: int) -> list[int]:
-    return [m for m in range(1, 1 << n) if m & (m - 1)]
 
 
 def _popcounts(n: int) -> np.ndarray:

@@ -134,14 +134,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, timings=False):
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--timings", action="store_true", help="include wall-clock times in reports")
+        if timings:
+            p.add_argument("--timings", action="store_true", help="include wall-clock times in reports")
 
     p = sub.add_parser("classify", help="classify a permutation group from a .grp file")
     p.add_argument("groupfile")
     p.add_argument("--mode", choices=["idempotents", "all"], default="idempotents")
-    common(p)
+    common(p, timings=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify", help="run the theorem-verification battery")
@@ -153,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for strongly-sync-maximal separations")
     p.add_argument("--degrees", required=True, help="degree range, e.g. 3..5")
     p.add_argument("--resume", action="store_true", help="skip entries already in --out")
-    common(p)
+    common(p, timings=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("syn-dfa", help="minimal DFA size of Syn(A) and a shortest reset word")

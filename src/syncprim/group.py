@@ -188,7 +188,9 @@ def is_primitive(G: GroupSpec) -> tuple[bool, Optional[BlockSystem]]:
     Convention: all groups of degree <= 2 are primitive.  For n > 2 an
     intransitive group is imprimitive, witnessed by an invariant non-trivial
     partition.  Transitive groups are checked through minimal-block closure
-    over all point pairs in lexicographic order.
+    of the pairs (0, b) in order of b: every non-trivial block system has a
+    block holding 0 and some other point, so the first pair in lexicographic
+    order whose closure is non-trivial is always one of these.
     """
     n = G.degree
     if n <= 2:
@@ -201,11 +203,10 @@ def is_primitive(G: GroupSpec) -> tuple[bool, Optional[BlockSystem]]:
             # Only the identity acts; any non-trivial partition is invariant.
             classes = (frozenset({0, 1}),) + tuple(frozenset({p}) for p in range(2, n))
         return False, BlockSystem(n, classes)
-    for a in range(n):
-        for b in range(a + 1, n):
-            classes = _minimal_block(G, a, b)
-            if len(classes) > 1:
-                return False, BlockSystem(n, tuple(sorted(classes, key=min)))
+    for b in range(1, n):
+        classes = _minimal_block(G, 0, b)
+        if len(classes) > 1:
+            return False, BlockSystem(n, tuple(sorted(classes, key=min)))
     return True, None
 
 

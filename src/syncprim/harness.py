@@ -87,30 +87,22 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS) -> VerifySumm
                         {"group": entry.name, "check": f"expected_{what}", "expected": exp, "got": got}
                     )
 
-        sm = preds["sync_maximal"]
-        summary.checks += 1
-        if sm.value != prim:
-            summary.violations.append(
-                {
-                    "group": entry.name,
-                    "check": "sync_maximal_equals_primitive",
-                    "primitive": prim,
-                    "sync_maximal": sm.value,
-                    "witness": sm.witness,
-                }
-            )
-        cr = preds["condition_2"]
-        summary.checks += 1
-        if cr.value != prim:
-            summary.violations.append(
-                {
-                    "group": entry.name,
-                    "check": "complete_reachability_equals_primitive",
-                    "primitive": prim,
-                    "condition_2": cr.value,
-                    "witness": cr.witness,
-                }
-            )
+        for check, key in (
+            ("sync_maximal_equals_primitive", "sync_maximal"),
+            ("complete_reachability_equals_primitive", "condition_2"),
+        ):
+            result = preds[key]
+            summary.checks += 1
+            if result.value != prim:
+                summary.violations.append(
+                    {
+                        "group": entry.name,
+                        "check": check,
+                        "primitive": prim,
+                        key: result.value,
+                        "witness": result.witness,
+                    }
+                )
         conds = {i: preds[f"condition_{i}"].value for i in range(1, 7)}
         if n >= 5:
             summary.checks += 1

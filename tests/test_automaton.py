@@ -45,6 +45,35 @@ def moore_oracle(trans, init_labels):
         n_classes = int(labels.max()) + 1
 
 
+def pairwise_classes(trans, init):
+    """Independent oracle for partition refinement: equivalence classes by
+    iterated pairwise marking (table filling).  A pair is marked when its
+    initial labels differ, or when some letter sends it to a marked pair;
+    rounds repeat until none marks a new pair."""
+    S = trans.shape[0]
+    marked = init[:, None] != init[None, :]
+    count = np.count_nonzero(marked)
+    while True:
+        for t in trans.T:
+            marked |= marked[t[:, None], t[None, :]]
+        new_count = np.count_nonzero(marked)
+        if new_count == count:
+            break
+        count = new_count
+    labels = np.full(S, -1, dtype=np.int64)
+    nxt = 0
+    for p in range(S):
+        if labels[p] < 0:
+            labels[~marked[p] & (labels < 0)] = nxt
+            nxt += 1
+    return labels
+
+
+def nonsingleton_masks(n):
+    """The masks of the subsets of [n] with at least two points."""
+    return [m for m in range(1, 1 << n) if m & (m - 1)]
+
+
 def subset_reach_oracle(letters, n):
     """Independent oracle for _kernels.subset_reach: the same BFS, applying
     each letter to a mask bit by bit instead of through the image table."""
@@ -151,7 +180,7 @@ def pairwise_state_count(A):
     init = np.zeros(len(trans), dtype=np.int64)
     if acc is not None:
         init[acc] = 1
-    return int(am._pairwise_classes(trans, init).max()) + 1
+    return int(pairwise_classes(trans, init).max()) + 1
 
 
 def nth_random_automaton(rng, n, letters, k):
@@ -358,7 +387,7 @@ class TestPowerSetWalk:
         if n >= 3:
             # condition 4's collapse DFA, read off the image table, against
             # the mask-by-mask construction
-            masks = am._nonsingleton_masks(n)
+            masks = nonsingleton_masks(n)
             trans, sink = am._merged_syn_dfa(np.arange(1, 1 << n), am._nonempty_subset_trans(A))
             assert partition(am._sink_refinement(trans, sink)) == partition(collapse_refinement_oracle(A, masks))
 
@@ -552,7 +581,7 @@ class TestPartitionRefinement:
         assert sorted(set(labels.tolist())) == list(range(int(labels.max()) + 1))
         want = partition(moore_oracle(trans, init))
         assert partition(labels) == want
-        assert partition(am._pairwise_classes(trans, init)) == want
+        assert partition(pairwise_classes(trans, init)) == want
         return labels
 
     @settings(max_examples=300, deadline=None)

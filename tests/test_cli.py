@@ -62,6 +62,19 @@ class TestClassifyCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "syn-dfa", "witness"])
+    def test_timings_flag_only_on_classify_and_search(self, capsys, cerny4_aut, command):
+        # verify, syn-dfa and witness report no wall-clock times
+        argv = {
+            "verify": ["verify", "--max-degree", "3"],
+            "syn-dfa": ["syn-dfa", cerny4_aut],
+            "witness": ["witness", cerny4_aut, "{0,1}", "{2,3}"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--timings"])
+        assert exc.value.code == 2
+        assert "--timings" in capsys.readouterr().err
+
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.grp"
         bad.write_text("degree 3\n(0 9)\n")

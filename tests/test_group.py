@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncprim import catalog, group as gr, perm
 from syncprim.group import BlockSystem, GroupSpec
@@ -35,6 +37,28 @@ def invariant_nontrivial_partition_exists(G):
         if all(g.apply_set(c) in class_set for g in G.generators for c in classes):
             return True
     return False
+
+
+def all_pairs_is_primitive(G):
+    """Reference for is_primitive's witness on transitive groups: the
+    minimal-block closure of every point pair (a, b), a < b, in
+    lexicographic order, the first non-trivial one being the witness."""
+    n = G.degree
+    if n <= 2 or not gr.is_transitive(G):
+        return gr.is_primitive(G)
+    for a in range(n):
+        for b in range(a + 1, n):
+            classes = gr._minimal_block(G, a, b)
+            if len(classes) > 1:
+                return False, BlockSystem(n, tuple(sorted(classes, key=min)))
+    return True, None
+
+
+@st.composite
+def generating_sets(draw):
+    n = draw(st.integers(3, 8), label="degree")
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3), label="generators")
+    return GroupSpec(n, tuple(perm.Transformation(tuple(g)) for g in gens))
 
 
 class TestEnumerateElements:
@@ -191,6 +215,18 @@ class TestPrimitivity:
                 continue
             prim, _ = gr.is_primitive(G)
             assert prim == (not invariant_nontrivial_partition_exists(G)), entry.name
+
+    @pytest.mark.parametrize(
+        "entry", catalog.builtin_catalog(9) + catalog.subgroup_census_s4(), ids=lambda e: e.name
+    )
+    def test_witness_matches_the_all_pairs_closure(self, entry):
+        # closing only the pairs (0, b) finds the same first block system
+        assert gr.is_primitive(entry.group) == all_pairs_is_primitive(entry.group)
+
+    @settings(max_examples=300, deadline=None)
+    @given(generating_sets())
+    def test_witness_matches_the_all_pairs_closure_on_drawn_groups(self, G):
+        assert gr.is_primitive(G) == all_pairs_is_primitive(G)
 
     def test_primitive_implies_transitive_above_2(self):
         for entry in catalog.builtin_catalog(6):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from syncprim import catalog, group as gr, harness, perm
+from syncprim import catalog, classify as cl, group as gr, harness, perm
 from syncprim.rng import SplitMix64
 
 
@@ -75,6 +75,56 @@ class TestVerifyTheorems:
     def test_cap(self):
         with pytest.raises(ValueError):
             harness.verify_theorems(7)
+
+    def test_equals_primitive_violations(self, monkeypatch):
+        # classify with sync-max and condition 2 flipped: every degree-3
+        # group breaks both "equals primitive" checks, in this order
+        classify = cl.classify
+
+        def flipped(*args, **kwargs):
+            report = classify(*args, **kwargs)
+            for key in ("sync_maximal", "condition_2"):
+                report.predicates[key].value = not report.predicates[key].value
+            return report
+
+        monkeypatch.setattr(cl, "classify", flipped)
+        summary = harness.verify_theorems(3)
+        want = [
+            {
+                "group": "trivial_3",
+                "check": "sync_maximal_equals_primitive",
+                "primitive": False,
+                "sync_maximal": True,
+                "witness": {"f": "0 0 2", "state_count": 1},
+            },
+            {
+                "group": "trivial_3",
+                "check": "complete_reachability_equals_primitive",
+                "primitive": False,
+                "condition_2": True,
+                "witness": {"f": "0 0 2", "unreachable": "{0}"},
+            },
+        ]
+        for name in ("C3", "D3", "A3", "S3"):
+            want += [
+                {
+                    "group": name,
+                    "check": "sync_maximal_equals_primitive",
+                    "primitive": True,
+                    "sync_maximal": False,
+                    "witness": None,
+                },
+                {
+                    "group": name,
+                    "check": "complete_reachability_equals_primitive",
+                    "primitive": True,
+                    "condition_2": False,
+                    "witness": None,
+                },
+            ]
+        assert summary.violations == want
+        assert [list(v) for v in summary.violations] == [list(v) for v in want]
+        assert (summary.groups_checked, summary.checks) == (5, 20)
 
     def test_summary_serializes(self):
         doc = harness.verify_theorems(3).to_dict()
