@@ -24,11 +24,8 @@ from .perm import Transformation
 MODE_IDEMPOTENTS = "idempotents_only"
 MODE_ALL = "all_rank_n_minus_1"
 
-# The strong scan labels the maps of rank 2..n-1 by G x G orbit and checks
-# one per orbit; up to here that stays tractable.
-STRONG_SCAN_CAP = 7
-# The mode-all scans build a table over all n^n maps: 16.8 M at n = 8, 387 M
-# at n = 9.
+# The mode-all scans and the strong scan build a table over all n^n maps:
+# 16.8 M at n = 8, 387 M at n = 9.
 ALL_MAPS_CAP = 8
 
 REPORT_SCHEMA = "syncprim-report/1"
@@ -108,19 +105,19 @@ def _idempotent_family(G: GroupSpec) -> Family:
     return len(maps), maps.__getitem__, moves
 
 
-def _map_family(G: GroupSpec, ranks) -> Family:
-    """All maps on [n] of the given ranks, rank by rank and lexicographic
-    within a rank, with the moves f -> s o f and f -> f o s for each
-    generator s.  The moves preserve rank, and since G is finite they
-    generate all of G x G, so their orbits are the orbits {g f h}.
+def _map_family(G: GroupSpec, rank: int) -> Family:
+    """All maps on [n] of the given rank, in lexicographic order, with the
+    moves f -> s o f and f -> f o s for each generator s.  The moves
+    preserve rank, and since G is finite they generate all of G x G, so
+    their orbits are the orbits {g f h}.
 
-    The maps are held as int32 base-n codes (see perm.codes_of_ranks) and
+    The maps are held as int32 base-n codes (see perm.codes_of_rank) and
     one int8 digit plane per point, plane i holding f(i).  s o f maps
     every plane through s; f o s permutes the planes, plane i of it being
     plane s(i) of f.  A code -> position table over all n^n codes turns
     the re-encoded maps into positions."""
     n = G.degree
-    codes = perm.codes_of_ranks(n, ranks)
+    codes = perm.codes_of_rank(n, rank)
     position = np.zeros(n**n, dtype=np.int32)
     position[codes] = np.arange(len(codes), dtype=np.int32)
     weights = [np.int32(n ** (n - 1 - i)) for i in range(n)]
@@ -145,7 +142,7 @@ def _family(G: GroupSpec, mode: str) -> Family:
     if mode == MODE_IDEMPOTENTS:
         return _idempotent_family(G)
     if mode == MODE_ALL:
-        return _map_family(G, [G.degree - 1])
+        return _map_family(G, G.degree - 1)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -313,17 +310,20 @@ def condition(
 
 def is_strongly_sync_maximal(G: GroupSpec) -> PredicateResult:
     """Whether adjoining any map of rank 2..n-1 leaves all 2-subsets
-    distinguishable.  The scan labels all n^n maps, so degrees above
-    STRONG_SCAN_CAP are skipped."""
+    distinguishable.  Moves preserve rank, so the scan goes one rank at a
+    time, and builds and labels a rank, on a table of all n^n maps, only
+    when every earlier rank passed.  Degrees above ALL_MAPS_CAP are skipped."""
     def run():
         n = G.degree
-        if n > STRONG_SCAN_CAP:
-            return PredicateResult(
-                None, reason=f"full map scan infeasible: {n}^{n} = {n**n} maps"
-            )
-        # condition 3's check, over all ranks 2..n-1
-        scan = _representatives(_map_family(G, range(2, n)))
-        return PredicateResult(*_scan(scan, _condition_check(G, 3)))
+        if n > ALL_MAPS_CAP:
+            return PredicateResult(None, reason=f"full map scan infeasible: {n}^{n} = {n**n} maps")
+        check, before = _condition_check(G, 3), 0
+        for rank in range(2, n):
+            ok, witness, scanned = _scan(_representatives(_map_family(G, rank)), check)
+            if not ok:
+                return PredicateResult(False, witness, before + scanned)
+            before += scanned
+        return PredicateResult(True, None, before)
 
     return _timed(run)
 

@@ -67,8 +67,8 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS) -> VerifySumm
     adds no separate computation beyond primitivity.  The independent
     check is the standalone is_sync_maximal and condition, which the tests
     compare with classify, and the tests of the implications map by map."""
-    if max_degree > 6:
-        raise ValueError("verification battery capped at degree 6")
+    if max_degree > cl.ALL_MAPS_CAP:
+        raise ValueError(f"verification battery capped at degree {cl.ALL_MAPS_CAP}")
     summary = VerifySummary(mode, max_degree)
     for entry in _verify_entries(max_degree):
         G = entry.group
@@ -148,14 +148,14 @@ def search_strongly_sync_maximal(
     primitive / 4-transitive / strongly-sync-maximal flags to expose any
     separation witness for the open containment question.
 
-    An empty range, or one reaching below 1 or past STRONG_SCAN_CAP,
+    An empty range, or one reaching below 1 or past ALL_MAPS_CAP,
     raises ValueError here, before any group is classified."""
     if not degrees:
         raise ValueError(f"empty degree range {degrees.start}..{degrees.stop - 1}")
     if min(degrees) < 1:
         raise ValueError(f"degree {min(degrees)} is below 1")
-    if max(degrees) > cl.STRONG_SCAN_CAP:
-        raise ValueError(f"degree {max(degrees)} exceeds the full-scan cap {cl.STRONG_SCAN_CAP}")
+    if max(degrees) > cl.ALL_MAPS_CAP:
+        raise ValueError(f"degree {max(degrees)} exceeds the full-scan cap {cl.ALL_MAPS_CAP}")
     return _search(degrees, skip_names)
 
 

@@ -152,9 +152,9 @@ def enumerate_maps_of_rank(n: int, r: int) -> Iterator[Transformation]:
             yield Transformation(image)
 
 
-def codes_of_ranks(n: int, ranks) -> np.ndarray:
-    """The base-n codes sum f(i) n^(n-1-i) of all maps on [n] whose rank is
-    in ranks, rank by rank and lexicographic within a rank, as int32.
+def codes_of_rank(n: int, r: int) -> np.ndarray:
+    """The base-n codes sum f(i) n^(n-1-i) of all maps on [n] of rank r,
+    in ascending order, as int32.
 
     Code order is the lexicographic order of the image arrays.  A map's
     rank is the popcount of its image mask, the OR of 1 << f(i) over its
@@ -164,10 +164,8 @@ def codes_of_ranks(n: int, ranks) -> np.ndarray:
     mask = np.zeros((n,) * n, dtype=np.min_scalar_type((1 << n) - 1))
     for i in range(n):
         mask |= bits.astype(mask.dtype).reshape((1,) * i + (n,) + (1,) * (n - 1 - i))
-    mask = mask.ravel()
     popcount = np.array([m.bit_count() for m in range(1 << n)], dtype=np.int8)
-    codes = np.flatnonzero(np.isin(popcount, ranks)[mask])
-    return codes[np.argsort(popcount[mask[codes]], kind="stable")].astype(np.int32)
+    return np.flatnonzero((popcount == r)[mask.ravel()]).astype(np.int32)
 
 
 def parse_image(text: str, n: int | None = None) -> Transformation:

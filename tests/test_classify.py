@@ -156,9 +156,33 @@ class TestStronglySyncMaximal:
         assert cl.is_strongly_sync_maximal(gr.trivial_group(2)).value is True
 
     def test_large_degree_skipped(self):
-        res = cl.is_strongly_sync_maximal(catalog.symmetric(8))
+        res = cl.is_strongly_sync_maximal(catalog.symmetric(cl.ALL_MAPS_CAP + 1))
         assert res.value is None
         assert "infeasible" in res.reason
+
+    @pytest.mark.parametrize("G", [catalog.cyclic(8), catalog.dihedral(8)])
+    def test_degree_8_fails_at_map_23(self, G):
+        res = cl.is_strongly_sync_maximal(G)
+        assert (res.value, res.witness, res.scanned) == (
+            False, {"f": "0 0 0 0 0 1 0 1", "pair": ["{0,2}", "{4,6}"]}, 23
+        )
+        A = am.build_group_automaton(G, perm.parse_image(res.witness["f"]))
+        S, T = (am.parse_set(s, 8) for s in res.witness["pair"])
+        assert am.distinguish_witness(A, S, T) is None
+
+    @pytest.mark.parametrize("G, ranks", [(catalog.cyclic(8), 1), (catalog.cyclic(5), 3)])
+    def test_ranks_after_a_failure_are_never_built(self, monkeypatch, G, ranks):
+        # C8 fails in rank 2; C5 passes all of ranks 2..4
+        calls = []
+        codes_of_rank = perm.codes_of_rank
+
+        def counted(n, r):
+            calls.append(r)
+            return codes_of_rank(n, r)
+
+        monkeypatch.setattr(perm, "codes_of_rank", counted)
+        cl.is_strongly_sync_maximal(G)
+        assert calls == list(range(2, 2 + ranks))
 
 
 class TestClassify:
@@ -202,10 +226,11 @@ class TestClassify:
         def no_table(*args):
             raise AssertionError("all-map table built")
 
-        monkeypatch.setattr(perm, "codes_of_ranks", no_table)
+        monkeypatch.setattr(perm, "codes_of_rank", no_table)
         G = catalog.symmetric(9)
         assert G.degree > cl.ALL_MAPS_CAP
         results = [cl.is_sync_maximal(G, MODE_ALL)] + [cl.condition(G, i, MODE_ALL) for i in range(2, 7)]
+        results.append(cl.is_strongly_sync_maximal(G))
         for res in results:
             assert res.value is None
             assert "infeasible" in res.reason
@@ -213,7 +238,7 @@ class TestClassify:
 
     def test_skipped_never_guessed(self):
         report = cl.classify(
-            catalog.symmetric(8), with_conditions=False, with_strong=True
+            catalog.symmetric(cl.ALL_MAPS_CAP + 1), with_conditions=False, with_strong=True
         )
         assert report.predicates["strongly_sync_maximal"].value is None
         assert report.predicates["strongly_sync_maximal"].reason
@@ -255,8 +280,13 @@ def _walk(G, mode):
     return perm.enumerate_rank_n_minus_1(n)
 
 
-def _scan_family(G, mode):
-    return cl._map_family(G, range(2, G.degree)) if mode == "strong" else cl._family(G, mode)
+def _families(G, mode):
+    """The families a scan builds, each with its walk through perm's
+    enumerations: one per rank 2..n-1 for the strong scan, else one."""
+    n = G.degree
+    if mode == "strong":
+        return [(cl._map_family(G, r), perm.enumerate_maps_of_rank(n, r)) for r in range(2, n)]
+    return [(cl._family(G, mode), _walk(G, mode))]
 
 
 def _scan_and_oracle(G, predicate, mode):
@@ -343,17 +373,20 @@ class TestOrbitScan:
         ],
     )
     def test_representative_counts(self, G, maps, conjugation, checked, size):
-        family = _scan_family(G, maps)
-        # the idempotent family moves by conjugation, the others by a left
-        # and a right move per generator
-        assert len(family[2]) == len(G.generators) * (1 if conjugation else 2)
         seen = []
 
         def passing(f):
             seen.append(f)
             return True, None
 
-        assert cl._scan(cl._representatives(family), passing) == (True, None, size)
+        total = 0
+        for family, _ in _families(G, maps):
+            # the idempotent family moves by conjugation, the others by a
+            # left and a right move per generator
+            assert len(family[2]) == len(G.generators) * (1 if conjugation else 2)
+            assert cl._scan(cl._representatives(family), passing) == (True, None, family[0])
+            total += family[0]
+        assert total == size
         assert len(seen) == checked
         assert len(set(seen)) == checked
 
@@ -361,22 +394,22 @@ class TestOrbitScan:
         for n in range(1, 7):
             G = gr.trivial_group(n)
             for mode in ("strong", MODE_IDEMPOTENTS, MODE_ALL):
-                size, map_at, _ = _scan_family(G, mode)
-                walked = list(_walk(G, mode))
-                assert size == len(walked), (n, mode)
-                assert [map_at(i) for i in range(size)] == walked, (n, mode)
-        assert _scan_family(gr.trivial_group(7), "strong")[0] == 818_496
+                for (size, map_at, _), walk in _families(G, mode):
+                    walked = list(walk)
+                    assert size == len(walked), (n, mode)
+                    assert [map_at(i) for i in range(size)] == walked, (n, mode)
+        assert sum(family[0] for family, _ in _families(gr.trivial_group(7), "strong")) == 818_496
 
     @pytest.mark.parametrize("mode", ["strong", MODE_IDEMPOTENTS, MODE_ALL])
     def test_representatives_match_brute_force_orbits(self, mode):
         for entry in _oracle_entries(5):
             G = entry.group
-            size, _, moves = _scan_family(G, mode)
-            label = cl._orbit_labels(size, moves)
-            want = _orbit_oracle(G, _walk(G, mode))
-            assert label.tolist() == want, entry.name
-            reps = [i for i, first in enumerate(want) if first == i]
-            assert np.flatnonzero(label == np.arange(size)).tolist() == reps, entry.name
+            for (size, _, moves), walk in _families(G, mode):
+                label = cl._orbit_labels(size, moves)
+                want = _orbit_oracle(G, walk)
+                assert label.tolist() == want, entry.name
+                reps = [i for i, first in enumerate(want) if first == i]
+                assert np.flatnonzero(label == np.arange(size)).tolist() == reps, entry.name
 
     def test_idempotent_orbits_are_conjugation_orbits(self):
         # the G x G orbit of an idempotent of rank n-1 meets that family

@@ -171,7 +171,7 @@ class TestSearchCommand:
     @pytest.mark.parametrize(
         "degrees, message",
         [
-            ("6..8", "degree 8 exceeds the full-scan cap 7"),
+            ("6..9", "degree 9 exceeds the full-scan cap 8"),
             ("5..3", "empty degree range 5..3"),
             ("0..2", "degree 0 is below 1"),
         ],

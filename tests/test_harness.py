@@ -74,7 +74,7 @@ class TestVerifyTheorems:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            harness.verify_theorems(7)
+            harness.verify_theorems(cl.ALL_MAPS_CAP + 1)
 
     def test_equals_primitive_violations(self, monkeypatch):
         # classify with sync-max and condition 2 flipped: every degree-3
@@ -157,7 +157,7 @@ class TestSearch:
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
-            list(harness.search_strongly_sync_maximal(range(8, 9)))
+            list(harness.search_strongly_sync_maximal(range(cl.ALL_MAPS_CAP + 1, cl.ALL_MAPS_CAP + 2)))
 
     def test_record_serialization(self):
         rec = next(iter(harness.search_strongly_sync_maximal(range(4, 5))))

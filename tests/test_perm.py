@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +128,15 @@ class TestEnumerators:
         assert len(list(perm.enumerate_maps_of_rank(4, 2))) == 84
         assert list(perm.enumerate_maps_of_rank(4, 0)) == []
         assert list(perm.enumerate_maps_of_rank(4, 5)) == []
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_codes_of_rank_decode_to_maps_of_rank(self, n):
+        # ranks 0 and n + 1 hold no map, so their codes come back empty
+        for r in range(n + 2):
+            codes = perm.codes_of_rank(n, r)
+            assert codes.dtype == np.int32
+            decoded = [tuple(int(c) // n ** (n - 1 - i) % n for i in range(n)) for c in codes]
+            assert decoded == [m.image for m in perm.enumerate_maps_of_rank(n, r)], r
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rank_partition_is_exhaustive(self, n):
