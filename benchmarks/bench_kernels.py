@@ -5,11 +5,13 @@ both of its forms, the reset word (reset_word_bfs) is timed, and the
 merged Syn-DFA table is refined by moore_refine and by both of its paths.
 The pair table is timed on the Černý automaton, and condition 3's check
 (the 2-subset collapse table, its refinement and the witness) on S_n and
-C_n plus the idempotent 1 1 2 ... at n = 5 and 8 and on the Černý
-automaton at the degree cap, 64.  The loop forms of the walk and of
-refinement are also timed at sizes production sends them: the merged
-Syn-DFA of S8 plus the map 1 1 2 ... (255 masks) and of the Černý
-automaton at n = 10 (1 014 rows).  One more row builds and labels the
+C_n plus the idempotent 1 1 2 ... at n = 5 and 8, on C7 plus 1 1 2 ...
+and on the Černý automaton at the degree cap, 64.  moore_refine alone is
+timed on the collapse tables condition 3 refines for S5 (11 rows) and C7
+(22 rows) plus 1 1 2 ..., the fixed cost per call of the per-map checks.
+The loop forms of the walk and of refinement are also timed at sizes
+production sends them: the merged Syn-DFA of S8 plus the map 1 1 2 ...
+(255 masks) and of the Černý automaton at n = 10 (1 014 rows).  One more row builds and labels the
 degree-7 strong scan family (the 818 496 maps of rank 2..6) by orbit
 under S7 and under C7 one rank at a time, as is_strongly_sync_maximal
 does before checking one map per orbit of a rank.
@@ -18,38 +20,73 @@ Prints the best of R runs of each kernel, in microseconds.  A kernel
 whose best run is under a millisecond is run again until its runs add up
 to MIN_TOTAL_S, so its best is taken over enough runs to be stable.
 
-    python3 benchmarks/bench_kernels.py [--degree N] [--repeat R]
+With --against PATH, the syncprim of a second checkout at PATH is loaded
+into the same process under another package name, and every row is timed
+on both trees, their runs alternating, with the ratio of the two bests.
+Rows time differently from one process to the next, so only rows timed
+side by side in one process compare two trees.
+
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--degree N] [--repeat R] [--against PATH]
 """
 
 import argparse
+import importlib
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 RANDOM_SEED = 2021
 RANDOM_DEGREE = 16
 MIN_TOTAL_S = 0.2
 
 
-def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
+def load_tree(root: str, name: str):
+    """The syncprim package of the checkout at root, imported under name;
+    the package imports its modules relatively, so they load from there."""
+    src = Path(root) / "src" / "syncprim"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def best(funcs, repeat: int) -> list[float]:
+    """The best time of each function, over at least repeat runs.  The
+    functions run in turn, the first of them alternating, until each has
+    repeat runs, and on while the best is under 1 ms and the runs of one
+    function add up to less than MIN_TOTAL_S."""
+    for func in funcs:
+        func()  # warm-up
+    times = [[] for _ in funcs]
+    while len(times[0]) < repeat or (min(map(min, times)) < 1e-3 and sum(times[0]) < MIN_TOTAL_S):
+        order = list(range(len(funcs)))
+        if len(times[0]) % 2:
+            order.reverse()
+        for i in order:
+            start = time.perf_counter()
+            funcs[i]()
+            times[i].append(time.perf_counter() - start)
+    return [min(t) for t in times]
+
+
+def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
+    """(label, function) for every row, on the syncprim package lib."""
     import numpy as np
 
-    from syncprim import _kernels, catalog
-    from syncprim import classify as cl
-    from syncprim.automaton import _merged_syn_dfa, all_2subsets_distinguishable, build_group_automaton, cerny_automaton
-    from syncprim.harness import random_automaton
-    from syncprim.perm import DEGREE_CAP, Transformation
-    from syncprim.rng import SplitMix64
+    _kernels, catalog, cl, am, harness, perm, rng = (
+        importlib.import_module(f"{lib.__name__}.{name}")
+        for name in ("_kernels", "catalog", "classify", "automaton", "harness", "perm", "rng")
+    )
+    _merged_syn_dfa, all_2subsets_distinguishable = am._merged_syn_dfa, am.all_2subsets_distinguishable
+    build_group_automaton, cerny_automaton = am.build_group_automaton, am.cerny_automaton
+    DEGREE_CAP, Transformation = perm.DEGREE_CAP, perm.Transformation
 
     A = cerny_automaton(degree)
     letters = A.letter_array()
-
-    def best(func):
-        func()  # warm-up
-        times = []
-        while len(times) < repeat or (min(times) < 1e-3 and sum(times) < MIN_TOTAL_S):
-            start = time.perf_counter()
-            func()
-            times.append(time.perf_counter() - start)
-        return min(times)
 
     def syn_dfa_table(B_letters, n):
         # the table minimal_syn_dfa refines: the subset automaton with its
@@ -61,16 +98,35 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
             init[acc] = 1
         return states, merged, init
 
-    results = [("pair_merge_table, Cerny", best(lambda: _kernels.pair_merge_table(letters, degree)))]
+    def collapse_table(B):
+        # the table condition 3 refines, as moore_refine receives it
+        tables = []
+        refine = am.moore_refine
+        am.moore_refine = lambda trans, init: tables.append((trans, init)) or refine(trans, init)
+        try:
+            all_2subsets_distinguishable(B)
+        finally:
+            am.moore_refine = refine
+        return tables[0]
+
+    def group_plus_112(group, n):
+        return build_group_automaton(group(n), Transformation((1, 1) + tuple(range(2, n))))
+
+    rows = [("pair_merge_table, Cerny", lambda: _kernels.pair_merge_table(letters, degree))]
     pair_cases = [
-        (f"{name}{n} + 1 1 2 ...", build_group_automaton(group(n), Transformation((1, 1) + tuple(range(2, n)))))
+        (f"{name}{n} + 1 1 2 ...", group_plus_112(group, n))
         for n in (5, 8)
         for name, group in (("S", catalog.symmetric), ("C", catalog.cyclic))
     ]
+    pair_cases.append(("C7 + 1 1 2 ...", group_plus_112(catalog.cyclic, 7)))
     pair_cases.append((f"Cerny {DEGREE_CAP}", cerny_automaton(DEGREE_CAP)))
     for label, B in pair_cases:
-        results.append((f"condition 3, {label}", best(lambda: all_2subsets_distinguishable(B))))
-    R = random_automaton(SplitMix64(RANDOM_SEED), RANDOM_DEGREE, 3)
+        rows.append((f"condition 3, {label}", lambda B=B: all_2subsets_distinguishable(B)))
+    for name, group, n in (("S5", catalog.symmetric, 5), ("C7", catalog.cyclic, 7)):
+        trans, init = collapse_table(group_plus_112(group, n))
+        label = f"moore_refine, {name} + 1 1 2 ... collapse ({len(trans)} rows)"
+        rows.append((label, lambda trans=trans, init=init: _kernels.moore_refine(trans, init)))
+    R = harness.random_automaton(rng.SplitMix64(RANDOM_SEED), RANDOM_DEGREE, 3)
     for name, B in (("Cerny", A), (f"random n={RANDOM_DEGREE}", R)):
         B_letters, n = B.letter_array(), B.degree
         states, merged, init = syn_dfa_table(B_letters, n)
@@ -82,21 +138,23 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
         ]
         for label, func in walks:
             walk = getattr(_kernels, func)
-            results.append((label, best(lambda: walk(B_letters, n))))
-        results.append((f"moore_refine, {name} ({len(merged)} rows)", best(lambda: _kernels.moore_refine(merged, init))))
-        for path in ("_refine_rounds", "_refine_loop"):
+            rows.append((label, lambda walk=walk, B_letters=B_letters, n=n: walk(B_letters, n)))
+        refines = [
+            (f"moore_refine, {name} ({len(merged)} rows)", "moore_refine"),
+            ("  _refine_rounds", "_refine_rounds"),
+            ("  _refine_loop", "_refine_loop"),
+        ]
+        for label, path in refines:
             refine = getattr(_kernels, path)
-            results.append((f"  {path}", best(lambda: refine(merged, init))))
+            rows.append((label, lambda refine=refine, merged=merged, init=init: refine(merged, init)))
 
-    small_cases = [
-        ("S8 + 1 1 2 ...", build_group_automaton(catalog.symmetric(8), Transformation((1, 1) + tuple(range(2, 8))))),
-        ("Cerny 10", cerny_automaton(10)),
-    ]
-    for name, B in small_cases:
+    for name, B in (("S8 + 1 1 2 ...", group_plus_112(catalog.symmetric, 8)), ("Cerny 10", cerny_automaton(10))):
         B_letters, n = B.letter_array(), B.degree
         states, merged, init = syn_dfa_table(B_letters, n)
-        results.append((f"_reach_loop, {name} ({len(states)} states)", best(lambda: _kernels._reach_loop(B_letters, n))))
-        results.append((f"_refine_loop, {name} ({len(merged)} rows)", best(lambda: _kernels._refine_loop(merged, init))))
+        reach = lambda B_letters=B_letters, n=n: _kernels._reach_loop(B_letters, n)  # noqa: E731
+        rows.append((f"_reach_loop, {name} ({len(states)} states)", reach))
+        refine = lambda merged=merged, init=init: _kernels._refine_loop(merged, init)  # noqa: E731
+        rows.append((f"_refine_loop, {name} ({len(merged)} rows)", refine))
 
     def strong_representatives():
         for G in (catalog.symmetric(7), catalog.cyclic(7)):
@@ -104,20 +162,35 @@ def run_benchmarks(degree: int, repeat: int) -> list[tuple[str, float]]:
                 size, _, moves = cl._map_family(G, rank)
                 cl._orbit_labels(size, moves)
 
-    results.append(("strong-family orbit labels by rank, S7 and C7", best(strong_representatives)))
-    return results
+    rows.append(("strong-family orbit labels by rank, S7 and C7", strong_representatives))
+    return rows
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--degree", type=int, default=14)
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--against", metavar="PATH", help="also time the syncprim of the checkout at PATH")
     args = parser.parse_args()
 
+    import syncprim
+
+    trees = [benchmark_rows(syncprim, args.degree)]
+    if args.against:
+        trees.append(benchmark_rows(load_tree(args.against, "syncprim_against"), args.degree))
+        if [label for label, _ in trees[0]] != [label for label, _ in trees[1]]:
+            sys.exit("error: the two trees give different rows")
     print(f"degree {args.degree} (Cerny automaton, {1 << args.degree} subsets), best of {args.repeat}")
-    print(f"{'kernel':<46} {'time':>12}")
-    for label, seconds in run_benchmarks(args.degree, args.repeat):
-        print(f"{label:<46} {seconds * 1e6:>10.1f}us")
+    if args.against:
+        print(f"{'kernel':<56} {'this tree':>12} {'--against':>12} {'ratio':>7}")
+    else:
+        print(f"{'kernel':<56} {'time':>12}")
+    for i, (label, _) in enumerate(trees[0]):
+        seconds = best([rows[i][1] for rows in trees], args.repeat)
+        line = f"{label:<56}" + "".join(f" {t * 1e6:>10.1f}us" for t in seconds)
+        if args.against:
+            line += f" {seconds[0] / seconds[1]:>7.3f}"
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,10 @@ The pair table (pair_merge_table) is a backward BFS from the diagonal over the l
 preimage lists; it never builds the power set and returns a symmetric
 bool matrix of the mergeable state pairs.  Partition refinement
 (Hopcroft's algorithm, moore_refine) has two paths that give the same
-partition: a Python loop over flat lists for small tables, and a numpy
-version that splits on a whole worklist per round for tables of
+partition: a Python loop over flat lists, its start included, for small
+tables such as the 2-subset collapse tables of condition 3 and the
+strong scan; and a numpy version that starts from _initial_partition's
+arrays and splits on a whole worklist per round, for tables of
 ROUNDS_MIN_ROWS rows or more, such as the Syn-DFA tables of the power
 set.
 benchmarks/bench_kernels.py times the kernels, both walk forms and both
@@ -224,16 +226,19 @@ def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     them for equality and take their max.
 
     Tables of ROUNDS_MIN_ROWS rows or more go to _refine_rounds, smaller
-    ones to _refine_loop; both give the same partition.  The name predates
-    the algorithm: perfbench traces the kernel under it, and the tests keep
-    Moore's algorithm as an oracle.
+    ones to _refine_loop; both give the same partition.  Most calls come
+    from the per-map checks of classify and search, on tables of a few
+    dozen rows, where the loop's plain-list start keeps the fixed cost per
+    call low.  The name predates the algorithm: perfbench traces the kernel
+    under it, and the tests keep Moore's algorithm as an oracle.
     """
     refine = _refine_rounds if len(trans) >= ROUNDS_MIN_ROWS else _refine_loop
     return refine(trans, init_labels)
 
 
 def _initial_partition(trans, init_labels):
-    """The start shared by both refinement paths.
+    """The start of _refine_rounds, in numpy.  _refine_loop builds the
+    same layout in lists.
 
     Returns the initial labels made compact (block ids 0..k-1), the size
     of each initial block, and as int32 arrays: elems, the states sorted
@@ -272,6 +277,7 @@ def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     STACS 2008): elems lists the states block by block, loc[s] is the
     position of s in elems, sidx[s] its block, and block b occupies
     elems[first[b]:end[b]], of which elems[first[b]:mid[b]] is marked.
+    pre[l][s] lists the states letter l sends to s, in increasing order.
     A worklist holds splitter blocks.  Popping one marks, letter by
     letter, the preimages of its states and splits every touched block
     into its marked and unmarked part; the smaller part takes the new
@@ -283,16 +289,40 @@ def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     reason: a complete DFA is trivially stable under the whole state set.
     Preimages in a singleton block are skipped, since it cannot split, and
     the loop stops once every block is a singleton.
+
+    The start is built in lists too, in the layout of _initial_partition:
+    on tables of a few dozen rows a numpy start costs more than the whole
+    refinement.
     """
-    labels, sizes, elems, loc, first, end, pre, off = _initial_partition(trans, init_labels)
-    S = len(labels)
+    init = np.asarray(init_labels).tolist()
+    S = len(init)
     if S == 0:
-        return labels.astype(np.int64)
-    elems, loc, first, end, sidx = (x.tolist() for x in (elems, loc, first, end, labels))
-    pre, off = [x.tolist() for x in pre], [x.tolist() for x in off]
+        return np.zeros(0, np.int64)
+    compact = {x: b for b, x in enumerate(sorted(set(init)))}
+    sidx = [compact[x] for x in init]
+    k = len(compact)
+    sizes = [0] * k
+    for b in sidx:
+        sizes[b] += 1
+    elems = sorted(range(S), key=sidx.__getitem__)
+    loc = [0] * S
+    for i, s in enumerate(elems):
+        loc[s] = i
+    first = [0] * S
+    end = [0] * S
+    total = 0
+    for b, size in enumerate(sizes):
+        first[b] = total
+        total += size
+        end[b] = total
+    pre = []
+    for row in np.asarray(trans).T.tolist():
+        pre_l = [[] for _ in range(S)]
+        for p, s in enumerate(row):
+            pre_l[s].append(p)
+        pre.append(pre_l)
     mid = first[:]
-    k = len(sizes)
-    largest = int(np.argmax(sizes))
+    largest = sizes.index(max(sizes))
     worklist = [b for b in range(k) if b != largest]
     count = k
     touched = []
@@ -300,9 +330,9 @@ def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
         c = worklist.pop()
         # a copy: marking swaps states inside c itself
         splitter = elems[first[c] : end[c]]
-        for pre_l, off_l in zip(pre, off):
+        for pre_l in pre:
             for s in splitter:
-                for p in pre_l[off_l[s] : off_l[s + 1]]:
+                for p in pre_l[s]:
                     b = sidx[p]
                     m = mid[b]
                     i = loc[p]

@@ -8,6 +8,7 @@ formal-language convention: compose(f, g) applies g first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -156,16 +157,27 @@ def codes_of_rank(n: int, r: int) -> np.ndarray:
     """The base-n codes sum f(i) n^(n-1-i) of all maps on [n] of rank r,
     in ascending order, as int32.
 
-    Code order is the lexicographic order of the image arrays.  A map's
-    rank is the popcount of its image mask, the OR of 1 << f(i) over its
-    points; the masks of all n^n maps are ORed together one point at a
-    time by broadcasting, one byte per map up to n = 8."""
+    Code order is the lexicographic order of the image arrays."""
+    return np.flatnonzero(_code_ranks(n) == r).astype(np.int32)
+
+
+@lru_cache(maxsize=1)
+def _code_ranks(n: int) -> np.ndarray:
+    """The rank of every map on [n], indexed by its code, as a read-only
+    int8 array of n^n entries.  Cached for the last degree, since a scan
+    over ranks 2..n-1 asks for the same table once per rank.
+
+    A map's rank is the popcount of its image mask, the OR of 1 << f(i)
+    over its points; the masks of all n^n maps are ORed together one point
+    at a time by broadcasting, one byte per map up to n = 8."""
     bits = 1 << np.arange(n)
     mask = np.zeros((n,) * n, dtype=np.min_scalar_type((1 << n) - 1))
     for i in range(n):
         mask |= bits.astype(mask.dtype).reshape((1,) * i + (n,) + (1,) * (n - 1 - i))
     popcount = np.array([m.bit_count() for m in range(1 << n)], dtype=np.int8)
-    return np.flatnonzero((popcount == r)[mask.ravel()]).astype(np.int32)
+    ranks = popcount[mask.ravel()]
+    ranks.setflags(write=False)
+    return ranks
 
 
 def parse_image(text: str, n: int | None = None) -> Transformation:

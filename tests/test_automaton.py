@@ -665,7 +665,7 @@ class TestRefinementPaths:
         trans = np.asarray(trans, dtype=np.int32)
         init = np.asarray(init, dtype=np.int64)
         labels = refine(trans, init)
-        assert labels.shape == init.shape
+        assert labels.shape == init.shape and labels.dtype == np.int64
         assert sorted(set(labels.tolist())) == list(range(int(labels.max()) + 1))
         assert partition(labels) == partition(moore_oracle(trans, init))
         return labels
@@ -711,6 +711,63 @@ class TestRefinementPaths:
         labels = self.check(refine, trans, [0, 0, 0, 0, 0, 0, 1, 2])
         assert partition(labels) == [[0], [1, 2, 3], [4], [5], [6], [7]]
 
+    # inputs in forms the int32 tables of check never take
+    @REFINE_PATHS
+    @pytest.mark.parametrize(
+        "trans, init, want",
+        [
+            (np.zeros((3, 0), np.int32), [2, 0, 2], [[0, 2], [1]]),
+            (np.array([[1], [2], [3], [3]], np.int32), [7, -3, 7, 100], [[0], [1], [2], [3]]),
+            (np.array([[1], [0], [3], [2]], np.int32), [7, -3, -3, 7], [[0, 3], [1, 2]]),
+            (np.array([[1, 0], [2, 0], [0, 0]], np.int64), [0, 0, 1], [[0], [1], [2]]),
+        ],
+        ids=["no-letters", "negative-labels", "non-compact-labels", "int64-trans"],
+    )
+    def test_input_forms(self, refine, trans, init, want):
+        init = np.array(init)
+        labels = refine(trans, init)
+        assert labels.dtype == np.int64 and labels.shape == (len(init),)
+        assert partition(labels) == want == partition(moore_oracle(trans, init))
+        assert sorted(set(labels.tolist())) == list(range(len(want)))
+
+    @staticmethod
+    def syn_dfa_table(A):
+        merged, acc = am._merged_syn_dfa(*_kernels.subset_reach(A.letter_array(), A.degree))
+        init = np.zeros(len(merged), dtype=np.int64)
+        init[acc] = 1
+        return merged, init
+
+    @staticmethod
+    def cardinality_table(A):
+        # condition 5's table: every nonempty mask, labelled by its size
+        return am._nonempty_subset_trans(A), am._popcounts(A.degree)[1:]
+
+    # tables above the sizes hypothesis draws, on the loop's side of the
+    # threshold: the Cerny automaton at n = 7-10 (121 to 1 014 rows), S_n
+    # and D_n plus 1 1 2 ... at n = 8-10, and condition 5's 255 rows at n = 8
+    @REFINE_PATHS
+    @pytest.mark.parametrize(
+        "table, A",
+        [("syn-dfa", am.cerny_automaton(n)) for n in range(7, 11)]
+        + [
+            ("syn-dfa", am.build_group_automaton(group(n), t(1, 1, *range(2, n))))
+            for n in range(8, 11)
+            for group in (catalog.symmetric, catalog.dihedral)
+        ]
+        + [
+            ("cardinality", am.build_group_automaton(group(8), t(1, 1, *range(2, 8))))
+            for group in (catalog.symmetric, catalog.cyclic)
+        ]
+        + [("cardinality", am.cerny_automaton(8))],
+        ids=[f"cerny-{n}" for n in range(7, 11)]
+        + [f"{g}{n}" for n in range(8, 11) for g in "SD"]
+        + ["cardinality-S8", "cardinality-C8", "cardinality-cerny-8"],
+    )
+    def test_tables_between_the_drawn_sizes_and_the_threshold(self, refine, table, A):
+        trans, init = self.syn_dfa_table(A) if table == "syn-dfa" else self.cardinality_table(A)
+        assert 40 < len(trans) < _kernels.ROUNDS_MIN_ROWS
+        self.check(refine, trans, init)
+
     @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
     def test_dispatch_at_the_threshold(self, offset, monkeypatch):
         rows = _kernels.ROUNDS_MIN_ROWS + offset
@@ -738,10 +795,8 @@ class TestRefinementPaths:
         ids=["cerny-11", "cerny-12", "random-12"],
     )
     def test_merged_syn_dfa_tables_near_and_above_the_threshold(self, A):
-        merged, acc = am._merged_syn_dfa(*_kernels.subset_reach(A.letter_array(), A.degree))
+        merged, init = self.syn_dfa_table(A)
         assert len(merged) > _kernels.ROUNDS_MIN_ROWS - 100
-        init = np.zeros(len(merged), dtype=np.int64)
-        init[acc] = 1
         want = partition(moore_oracle(merged, init))
         for refine in (_kernels._refine_rounds, _kernels._refine_loop, _kernels.moore_refine):
             assert partition(refine(merged, init)) == want

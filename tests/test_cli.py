@@ -87,6 +87,16 @@ class TestClassifyCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["classify", "syn-dfa"])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_degree_4_exit_0(self, capsys):
