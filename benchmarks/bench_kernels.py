@@ -14,7 +14,9 @@ production sends them: the merged Syn-DFA of S8 plus the map 1 1 2 ...
 (255 masks) and of the Černý automaton at n = 10 (1 014 rows).  One more row builds and labels the
 degree-7 strong scan family (the 818 496 maps of rank 2..6) by orbit
 under S7 and under C7 one rank at a time, as is_strongly_sync_maximal
-does before checking one map per orbit of a rank.
+does before checking one map per orbit of a rank.  The last row builds
+the idempotent scan, one map per orbital, of every group classify-idem
+runs: the catalog groups of degree 5-8 and the subgroups of S4.
 
 Prints the best of R runs of each kernel, in microseconds.  A kernel
 whose best run is under a millisecond is run again until its runs add up
@@ -156,13 +158,24 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
         refine = lambda merged=merged, init=init: _kernels._refine_loop(merged, init)  # noqa: E731
         rows.append((f"_refine_loop, {name} ({len(merged)} rows)", refine))
 
-    def strong_representatives():
+    # a tree whose builders return moves, not a Scan, labels them here
+    scan_of = getattr(cl, "_representatives", lambda scan: scan)
+
+    def strong_scans():
         for G in (catalog.symmetric(7), catalog.cyclic(7)):
             for rank in range(2, 7):
-                size, _, moves = cl._map_family(G, rank)
-                cl._orbit_labels(size, moves)
+                scan_of(cl._map_family(G, rank))
 
-    rows.append(("strong-family orbit labels by rank, S7 and C7", strong_representatives))
+    rows.append(("strong-family orbit labels by rank, S7 and C7", strong_scans))
+    entries = [e for e in catalog.builtin_catalog(8) if e.degree >= 5] + catalog.subgroup_census_s4()
+    idempotent_groups = [e.group for e in entries]
+
+    def idempotent_scans():
+        for G in idempotent_groups:
+            scan_of(cl._idempotent_family(G))
+
+    label = f"idempotent scans, catalog 5-8 and S4 census ({len(idempotent_groups)})"
+    rows.append((label, idempotent_scans))
     return rows
 
 

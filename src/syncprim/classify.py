@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,11 +31,9 @@ ALL_MAPS_CAP = 8
 
 REPORT_SCHEMA = "syncprim-report/1"
 
-# A scan family: its size, the map at a position, and the moves, one int32
-# array per generator move sending each position to the moved map's.
-Family = tuple[int, Callable[[int], Transformation], list[np.ndarray]]
 # A scan: the family's size, the map at a position, and the positions to
-# check, in increasing order.
+# check, in increasing order.  The builders, _idempotent_family and
+# _map_family, return the first position of every G x G orbit.
 Scan = tuple[int, Callable[[int], Transformation], list[int]]
 # A predicate's test of one map: whether it passes, and the witness's
 # details when it fails.
@@ -78,67 +77,91 @@ class ClassificationReport:
         }
 
 
-def _idempotent_family(G: GroupSpec) -> Family:
-    """The idempotents of rank n-1 in perm's order, with one move per
-    generator s: conjugation e -> s o e o s^-1.
+def _idempotent_family(G: GroupSpec) -> Scan:
+    """The idempotents of rank n-1 in perm's order, and as the positions to
+    check the first map of every G x G orbit: e_(a->b), which sends a to b
+    and fixes the rest, when no earlier map's orbital holds (a, b).
 
-    e_(a->b) sends a to b and fixes the rest; it is keyed a*n + b, and
-    its conjugate by s is e_(s(a)->s(b)).  Left and right moves would walk
-    the whole G x G orbit, up to |G|^2 maps mostly outside this family;
-    conjugation stays inside it and still reaches the orbit's part of it,
-    because G x G orbits meet the family in conjugation orbits: let
-    e' = g e h be another such idempotent.  The image of e' is
-    g([n] - {a}), so e' moves g(a) and fixes every other point.  Its one
-    kernel class of size 2 is h^-1{a, b}, which e' sends to g(b); that
-    class holds g(a) and the fixed point e'(g(a)), so e' sends g(a) to
-    g(b), i.e. e' = g e g^-1.  The conjugates of e are the maps sending
-    g(a) to g(b), one per pair in the orbital of (a, b), and conjugation
-    by the generators reaches them all."""
+    G x G orbits meet this family in orbitals, the orbits of G on ordered
+    pairs of distinct points: let e' = g e h be another such idempotent.
+    The image of e' is g([n] - {a}), so e' moves g(a) and fixes every
+    other point.  Its one kernel class of size 2 is h^-1{a, b}, which e'
+    sends to g(b); that class holds g(a) and the fixed point e'(g(a)), so
+    e' sends g(a) to g(b), i.e. e' = g e g^-1.  Conversely every conjugate
+    g e g^-1 is e_(g(a)->g(b)), so the orbit of e in the family is one map
+    per pair of the orbital of (a, b)."""
+    maps = list(perm.enumerate_idempotents_rank_n_minus_1(G.degree))
+    seen: set[tuple[int, int]] = set()
+    positions = []
+    for i, e in enumerate(maps):
+        pair = next((a, b) for a, b in enumerate(e.image) if a != b)
+        if pair not in seen:
+            seen |= gr.orbital(G, *pair)
+            positions.append(i)
+    return len(maps), maps.__getitem__, positions
+
+
+def codes_of_rank(n: int, r: int) -> np.ndarray:
+    """The base-n codes sum f(i) n^(n-1-i) of all maps on [n] of rank r,
+    in ascending order, as int32.
+
+    Code order is the lexicographic order of the image arrays."""
+    return np.flatnonzero(_code_ranks(n) == r).astype(np.int32)
+
+
+@lru_cache(maxsize=1)
+def _code_ranks(n: int) -> np.ndarray:
+    """The rank of every map on [n], indexed by its code, as a read-only
+    int8 array of n^n entries.  Cached for the last degree, since a scan
+    over ranks 2..n-1 asks for the same table once per rank.
+
+    A map's rank is the popcount of its image mask, the OR of 1 << f(i)
+    over its points; the masks of all n^n maps are ORed together one point
+    at a time by broadcasting, one byte per map up to n = 8."""
+    bits = 1 << np.arange(n)
+    mask = np.zeros((n,) * n, dtype=np.min_scalar_type((1 << n) - 1))
+    for i in range(n):
+        mask |= bits.astype(mask.dtype).reshape((1,) * i + (n,) + (1,) * (n - 1 - i))
+    ranks = am._popcounts(n)[mask.ravel()]
+    ranks.setflags(write=False)
+    return ranks
+
+
+def _map_family(G: GroupSpec, rank: int) -> Scan:
+    """All maps on [n] of the given rank, in lexicographic order, and as the
+    positions to check the first map of every orbit {g f h : g, h in G}.
+
+    The maps are held as int32 base-n codes (see codes_of_rank) and one
+    int8 digit plane per point, plane i holding f(i).  The orbits are
+    labelled along the moves f -> s o f and f -> f o s for each generator
+    s, which preserve rank and, G being finite, generate all of G x G.
+    s o f maps every plane through s; f o s permutes the planes, plane i of
+    it being plane s(i) of f.  A code -> position table over all n^n codes
+    turns the re-encoded maps into positions."""
     n = G.degree
-    maps = list(perm.enumerate_idempotents_rank_n_minus_1(n))
-    images = np.array([e.image for e in maps], dtype=np.intp).reshape(-1, n)
-    a = (images != np.arange(n)).argmax(axis=1)
-    b = images[np.arange(len(maps)), a]
-    position = np.zeros(n * n, dtype=np.int32)
-    position[a * n + b] = np.arange(len(maps))
-    moves = [position[s[a] * n + s[b]] for s in np.array([s.image for s in G.generators])]
-    return len(maps), maps.__getitem__, moves
-
-
-def _map_family(G: GroupSpec, rank: int) -> Family:
-    """All maps on [n] of the given rank, in lexicographic order, with the
-    moves f -> s o f and f -> f o s for each generator s.  The moves
-    preserve rank, and since G is finite they generate all of G x G, so
-    their orbits are the orbits {g f h}.
-
-    The maps are held as int32 base-n codes (see perm.codes_of_rank) and
-    one int8 digit plane per point, plane i holding f(i).  s o f maps
-    every plane through s; f o s permutes the planes, plane i of it being
-    plane s(i) of f.  A code -> position table over all n^n codes turns
-    the re-encoded maps into positions."""
-    n = G.degree
-    codes = perm.codes_of_rank(n, rank)
+    codes = codes_of_rank(n, rank)
+    size = len(codes)
     position = np.zeros(n**n, dtype=np.int32)
-    position[codes] = np.arange(len(codes), dtype=np.int32)
-    weights = [np.int32(n ** (n - 1 - i)) for i in range(n)]
-    planes = [(codes // w % n).astype(np.int8) for w in weights]
-
-    def positions(images):
-        code = np.zeros(len(codes), dtype=np.int32)
-        for image, w in zip(images, weights):
-            code += w * image
-        return position[code]
-
+    position[codes] = np.arange(size, dtype=np.int32)
+    planes = [(codes // n ** (n - 1 - i) % n).astype(np.int8) for i in range(n)]
+    del codes
     moves = []
     for s in G.generators:
         left = np.array(s.image, dtype=np.int8)
-        moves.append(positions(left[plane] for plane in planes))
-        moves.append(positions(planes[j] for j in s.image))
-    return len(codes), lambda i: Transformation(tuple(int(plane[i]) for plane in planes)), moves
+        for images in ((left[plane] for plane in planes), (planes[j] for j in s.image)):
+            code = np.zeros(size, dtype=np.int32)
+            for image in images:  # Horner's rule, in place
+                code *= n
+                code += image
+            moves.append(position[code])
+    del position, code
+    label = _orbit_labels(size, moves)
+    positions = np.flatnonzero(label == np.arange(size, dtype=np.int32)).tolist()
+    return size, lambda i: Transformation(tuple(int(plane[i]) for plane in planes)), positions
 
 
-def _family(G: GroupSpec, mode: str) -> Family:
-    """The quantifier family of rank n-1 maps selected by mode."""
+def _mode_scan(G: GroupSpec, mode: str) -> Scan:
+    """The scan of the rank n-1 maps selected by mode."""
     if mode == MODE_IDEMPOTENTS:
         return _idempotent_family(G)
     if mode == MODE_ALL:
@@ -153,42 +176,34 @@ def _orbit_labels(size: int, moves: list[np.ndarray]) -> np.ndarray:
 
     label[i] starts at i and only ever takes positions of i's orbit no
     greater than i: label = min(label, label[move]) for every move, then
-    label = label[label], until nothing changes.  At that point
-    label[i] <= label[move[i]] for every i and move; a move's cycle
-    through i leads back to i, so label is constant along it, hence on
-    the whole orbit, and the constant is the orbit's first position m
-    since m <= label[m] <= m."""
-    label = np.arange(size, dtype=np.int32)
+    label = label[label], until a round changes nothing.  Labels only go
+    down, so a round changed nothing when their sum did not change.  At
+    that point label[i] <= label[move[i]] for every i and move; a move's
+    cycle through i leads back to i, so label is constant along it, hence
+    on the whole orbit, and the constant is the orbit's first position m
+    since m <= label[m] <= m.  The minima are taken in place, so a round
+    holds label and one gathered copy of it at a time."""
+    label, total = np.arange(size, dtype=np.int32), -1
     while True:
-        before = label
         for move in moves:
-            label = np.minimum(label, label[move])
+            np.minimum(label, label[move], out=label)
         label = label[label]
-        if np.array_equal(label, before):
+        if total == (total := int(label.sum())):
             return label
-
-
-def _representatives(family: Family) -> Scan:
-    """The scan of one map per orbit of the family: the positions that
-    come first in their orbit (see _orbit_labels).
-
-    Every predicate depends only on the monoid <G, f>, and <G, f> =
-    <G, g f h> for g, h in G, so a check gives the same verdict on a whole
-    orbit.  The first failing map of a family is the first of its orbit,
-    so a scan of the representatives still meets it."""
-    size, map_at, moves = family
-    label = _orbit_labels(size, moves)
-    return size, map_at, np.flatnonzero(label == np.arange(size)).tolist()
 
 
 def _scan(scan: Scan, check: Check) -> tuple[bool, Optional[dict], int]:
     """Run check over the scan's positions in order; the first
     counterexample wins.
 
-    Given the positions of _representatives, or any of their tails that
-    starts at or before the first failing map, the witness is the one a
-    map-by-map scan of the family finds, and scanned is that map's
-    position + 1, or the family's size when all pass."""
+    Every predicate depends only on the monoid <G, f>, and <G, f> =
+    <G, g f h> for g, h in G, so a check gives the same verdict on a whole
+    G x G orbit, and the first failing map of a family is the first of its
+    orbit.  So given the positions a builder returns, the first of every
+    orbit, or any of their tails that starts at or before the first
+    failing map, the witness is the one a map-by-map scan of the family
+    finds, and scanned is that map's position + 1, or the family's size
+    when all pass."""
     size, map_at, positions = scan
     for i in positions:
         f = map_at(i)
@@ -212,7 +227,7 @@ def _scan_mode(G: GroupSpec, mode: str, check: Check, scan: Optional[Scan]) -> P
     if not _mode_feasible(G, mode):
         return PredicateResult(None, reason=f"all-map table infeasible: {n}^{n} = {n**n} maps")
     if scan is None:
-        scan = _representatives(_family(G, mode))
+        scan = _mode_scan(G, mode)
     return PredicateResult(*_scan(scan, check))
 
 
@@ -319,7 +334,7 @@ def is_strongly_sync_maximal(G: GroupSpec) -> PredicateResult:
             return PredicateResult(None, reason=f"full map scan infeasible: {n}^{n} = {n**n} maps")
         check, before = _condition_check(G, 3), 0
         for rank in range(2, n):
-            ok, witness, scanned = _scan(_representatives(_map_family(G, rank)), check)
+            ok, witness, scanned = _scan(_map_family(G, rank), check)
             if not ok:
                 return PredicateResult(False, witness, before + scanned)
             before += scanned
@@ -338,11 +353,12 @@ def classify(
     """Run all predicates and collect the report.  Predicates exceeding a
     cap come back skipped, never guessed.
 
-    The scans share one family and its orbit representatives, built once
-    per call.  At n >= 3 a map that passes the sync-max check passes
-    conditions 2-6 as well.  Its minimal Syn-DFA has 2^n - n states, so
-    some singleton is reachable and every non-singleton subset is
-    reachable and apart from every other one: that is condition 4, and
+    The scans share one scan of the mode's family, built once per call:
+    one map per orbital of G in mode idempotents_only, one per G x G orbit
+    in mode all_rank_n_minus_1.  At n >= 3 a map that passes the sync-max
+    check passes conditions 2-6 as well.  Its minimal Syn-DFA has 2^n - n
+    states, so some singleton is reachable and every non-singleton subset
+    is reachable and apart from every other one: that is condition 4, and
     conditions 3 and 6 are parts of it.  A word that sends one of two
     subsets to a singleton and the other not sends them to different
     cardinalities (condition 5).  The reachable subsets include every
@@ -355,7 +371,7 @@ def classify(
     those of the standalone scans."""
     report = ClassificationReport(G, name)
     preds = report.predicates
-    scan = _representatives(_family(G, mode)) if _mode_feasible(G, mode) else None
+    scan = _mode_scan(G, mode) if _mode_feasible(G, mode) else None
 
     preds["transitive"] = _timed(lambda: PredicateResult(gr.is_transitive(G)))
     prim = condition(G, 1)

@@ -112,6 +112,11 @@ def orbit(G: GroupSpec, p: int) -> frozenset[int]:
     return frozenset(_closure(G, p, Transformation.__call__))
 
 
+def orbital(G: GroupSpec, a: int, b: int) -> set[tuple[int, int]]:
+    """The orbit of G on ordered pairs of points through (a, b)."""
+    return _closure(G, (a, b), lambda g, pair: (g(pair[0]), g(pair[1])))
+
+
 def orbits(G: GroupSpec) -> list[frozenset[int]]:
     out = []
     done: set[int] = set()

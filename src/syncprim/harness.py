@@ -66,9 +66,12 @@ def verify_theorems(max_degree: int, mode: str = MODE_IDEMPOTENTS) -> VerifySumm
     implications, not by scans of their own, and the six-way agreement
     adds no separate computation beyond primitivity.  The independent
     check is the standalone is_sync_maximal and condition, which the tests
-    compare with classify, and the tests of the implications map by map."""
-    if max_degree > cl.ALL_MAPS_CAP:
-        raise ValueError(f"verification battery capped at degree {cl.ALL_MAPS_CAP}")
+    compare with classify, and the tests of the implications map by map.
+
+    The battery starts at degree 3, so a max_degree below 3, which would
+    check no group, raises ValueError, as one above ALL_MAPS_CAP does."""
+    if not 3 <= max_degree <= cl.ALL_MAPS_CAP:
+        raise ValueError(f"max degree {max_degree} outside the battery's degrees 3..{cl.ALL_MAPS_CAP}")
     summary = VerifySummary(mode, max_degree)
     for entry in _verify_entries(max_degree):
         G = entry.group

@@ -174,15 +174,40 @@ class TestStronglySyncMaximal:
     def test_ranks_after_a_failure_are_never_built(self, monkeypatch, G, ranks):
         # C8 fails in rank 2; C5 passes all of ranks 2..4
         calls = []
-        codes_of_rank = perm.codes_of_rank
+        codes_of_rank = cl.codes_of_rank
 
         def counted(n, r):
             calls.append(r)
             return codes_of_rank(n, r)
 
-        monkeypatch.setattr(perm, "codes_of_rank", counted)
+        monkeypatch.setattr(cl, "codes_of_rank", counted)
         cl.is_strongly_sync_maximal(G)
         assert calls == list(range(2, 2 + ranks))
+
+
+class TestMapCodes:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_codes_of_rank_decode_to_maps_of_rank(self, n):
+        # ranks 0 and n + 1 hold no map, so their codes come back empty
+        for r in range(n + 2):
+            codes = cl.codes_of_rank(n, r)
+            assert codes.dtype == np.int32
+            decoded = [tuple(int(c) // n ** (n - 1 - i) % n for i in range(n)) for c in codes]
+            assert decoded == [m.image for m in perm.enumerate_maps_of_rank(n, r)], r
+
+    def test_rank_table_is_built_once_per_degree_and_read_only(self):
+        cl._code_ranks.cache_clear()
+        for r in range(2, 5):
+            cl.codes_of_rank(5, r)
+        info = cl._code_ranks.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        ranks = cl._code_ranks(5)
+        assert not ranks.flags.writeable
+        with pytest.raises(ValueError):
+            ranks[0] = 3
+        codes = cl.codes_of_rank(5, 3)
+        codes[0] = -1  # the caller's own array
+        assert cl.codes_of_rank(5, 3)[0] != -1
 
 
 class TestClassify:
@@ -226,7 +251,7 @@ class TestClassify:
         def no_table(*args):
             raise AssertionError("all-map table built")
 
-        monkeypatch.setattr(perm, "codes_of_rank", no_table)
+        monkeypatch.setattr(cl, "codes_of_rank", no_table)
         G = catalog.symmetric(9)
         assert G.degree > cl.ALL_MAPS_CAP
         results = [cl.is_sync_maximal(G, MODE_ALL)] + [cl.condition(G, i, MODE_ALL) for i in range(2, 7)]
@@ -280,13 +305,13 @@ def _walk(G, mode):
     return perm.enumerate_rank_n_minus_1(n)
 
 
-def _families(G, mode):
-    """The families a scan builds, each with its walk through perm's
-    enumerations: one per rank 2..n-1 for the strong scan, else one."""
+def _scans(G, mode):
+    """The scans a predicate builds, each with its family's walk through
+    perm's enumerations: one per rank 2..n-1 for the strong scan, else one."""
     n = G.degree
     if mode == "strong":
         return [(cl._map_family(G, r), perm.enumerate_maps_of_rank(n, r)) for r in range(2, n)]
-    return [(cl._family(G, mode), _walk(G, mode))]
+    return [(cl._mode_scan(G, mode), _walk(G, mode))]
 
 
 def _scan_and_oracle(G, predicate, mode):
@@ -315,6 +340,26 @@ def _orbit_oracle(G, maps):
             for t in {tuple(g[x] for x in r) for g in elements for r in right}:
                 first[t] = i
         labels.append(first[f.image])
+    return labels
+
+
+def _first_positions(labels):
+    return [i for i, first in enumerate(labels) if first == i]
+
+
+def _orbital_oracle(G):
+    """The first position of every idempotent's orbital in perm's order,
+    the orbital of e_(a->b) taken as {(g(a), g(b)) : g in G} over the
+    group's elements."""
+    elements = gr.enumerate_elements(G)
+    first = {}
+    labels = []
+    for i, e in enumerate(perm.enumerate_idempotents_rank_n_minus_1(G.degree)):
+        (a,) = [p for p in range(G.degree) if e(p) != p]
+        if (a, e(a)) not in first:
+            for pair in {(g(a), g(e(a))) for g in elements}:
+                first[pair] = i
+        labels.append(first[(a, e(a))])
     return labels
 
 
@@ -356,23 +401,23 @@ class TestOrbitScan:
             assert got == want, entry.name
 
     @pytest.mark.parametrize(
-        "G, maps, conjugation, checked, size",
+        "G, maps, checked, size",
         [
-            (catalog.symmetric(5), "strong", False, 5, 3000),
-            (catalog.alternating(5), "strong", False, 5, 3000),
-            (catalog.dihedral(5), "strong", False, 40, 3000),
-            (catalog.cyclic(5), "strong", False, 120, 3000),
-            (catalog.symmetric(6), "strong", False, 9, 45930),
-            (catalog.alternating(6), "strong", False, 9, 45930),
-            (catalog.cyclic(6), "strong", False, 1291, 45930),
-            (catalog.symmetric(6), MODE_IDEMPOTENTS, True, 1, 30),
-            (catalog.cyclic(6), MODE_IDEMPOTENTS, True, 5, 30),
+            (catalog.symmetric(5), "strong", 5, 3000),
+            (catalog.alternating(5), "strong", 5, 3000),
+            (catalog.dihedral(5), "strong", 40, 3000),
+            (catalog.cyclic(5), "strong", 120, 3000),
+            (catalog.symmetric(6), "strong", 9, 45930),
+            (catalog.alternating(6), "strong", 9, 45930),
+            (catalog.cyclic(6), "strong", 1291, 45930),
+            (catalog.symmetric(6), MODE_IDEMPOTENTS, 1, 30),
+            (catalog.cyclic(6), MODE_IDEMPOTENTS, 5, 30),
             # every orbit of the trivial group is one map, the last one too
-            (gr.trivial_group(4), "strong", False, 228, 228),
-            (gr.trivial_group(4), MODE_IDEMPOTENTS, True, 12, 12),
+            (gr.trivial_group(4), "strong", 228, 228),
+            (gr.trivial_group(4), MODE_IDEMPOTENTS, 12, 12),
         ],
     )
-    def test_representative_counts(self, G, maps, conjugation, checked, size):
+    def test_representative_counts(self, G, maps, checked, size):
         seen = []
 
         def passing(f):
@@ -380,12 +425,9 @@ class TestOrbitScan:
             return True, None
 
         total = 0
-        for family, _ in _families(G, maps):
-            # the idempotent family moves by conjugation, the others by a
-            # left and a right move per generator
-            assert len(family[2]) == len(G.generators) * (1 if conjugation else 2)
-            assert cl._scan(cl._representatives(family), passing) == (True, None, family[0])
-            total += family[0]
+        for scan, _ in _scans(G, maps):
+            assert cl._scan(scan, passing) == (True, None, scan[0])
+            total += scan[0]
         assert total == size
         assert len(seen) == checked
         assert len(set(seen)) == checked
@@ -394,38 +436,67 @@ class TestOrbitScan:
         for n in range(1, 7):
             G = gr.trivial_group(n)
             for mode in ("strong", MODE_IDEMPOTENTS, MODE_ALL):
-                for (size, map_at, _), walk in _families(G, mode):
+                for (size, map_at, _), walk in _scans(G, mode):
                     walked = list(walk)
                     assert size == len(walked), (n, mode)
                     assert [map_at(i) for i in range(size)] == walked, (n, mode)
-        assert sum(family[0] for family, _ in _families(gr.trivial_group(7), "strong")) == 818_496
+        assert sum(scan[0] for scan, _ in _scans(gr.trivial_group(7), "strong")) == 818_496
 
     @pytest.mark.parametrize("mode", ["strong", MODE_IDEMPOTENTS, MODE_ALL])
-    def test_representatives_match_brute_force_orbits(self, mode):
+    def test_representatives_match_brute_force_orbits(self, mode, monkeypatch):
+        # the rank families' labels are caught on their way out of
+        # _orbit_labels; the idempotent scan labels nothing
+        labels = []
+        orbit_labels = cl._orbit_labels
+        monkeypatch.setattr(cl, "_orbit_labels", lambda *args: labels.append(orbit_labels(*args)) or labels[-1])
         for entry in _oracle_entries(5):
             G = entry.group
-            for (size, _, moves), walk in _families(G, mode):
-                label = cl._orbit_labels(size, moves)
+            for (_, _, positions), walk in _scans(G, mode):
                 want = _orbit_oracle(G, walk)
-                assert label.tolist() == want, entry.name
-                reps = [i for i, first in enumerate(want) if first == i]
-                assert np.flatnonzero(label == np.arange(size)).tolist() == reps, entry.name
+                if mode != MODE_IDEMPOTENTS:
+                    assert labels.pop(0).tolist() == want, entry.name
+                assert positions == _first_positions(want), entry.name
+        assert labels == []
 
-    def test_idempotent_orbits_are_conjugation_orbits(self):
+    def test_idempotent_orbits_are_orbitals(self):
         # the G x G orbit of an idempotent of rank n-1 meets that family
-        # exactly in its conjugation orbit, the orbital of (a, b)
+        # exactly in the orbital of (a, b), one map e_(c->d) per pair (c, d)
         for entry in _oracle_entries(5):
             G = entry.group
-            size, map_at, moves = cl._family(G, MODE_IDEMPOTENTS)
-            assert len(moves) == len(G.generators)
-            label = cl._orbit_labels(size, moves).tolist()
-            assert label == _orbit_oracle(G, _walk(G, MODE_IDEMPOTENTS)), entry.name
-            for i in range(size):
-                e = map_at(i)
-                (a,) = [p for p in range(G.degree) if e(p) != p]
-                orbital = {(g(a), g(e(a))) for g in gr.enumerate_elements(G)}
-                conjugates = [map_at(j) for j in range(size) if label[j] == label[i]]
-                assert {next((p, q) for p, q in enumerate(t.image) if p != q) for t in conjugates} == orbital
+            label = _orbit_oracle(G, _walk(G, MODE_IDEMPOTENTS))
+            assert label == _orbital_oracle(G), entry.name
+            assert cl._idempotent_family(G)[2] == _first_positions(label), entry.name
+
+    @pytest.mark.parametrize(
+        "entry",
+        [e for e in catalog.builtin_catalog(8) if e.degree >= 6] + catalog.subgroup_census_s4(),
+        ids=lambda e: e.name,
+    )
+    def test_idempotent_positions_are_first_of_their_orbital(self, entry):
+        # above degree 5 the G x G oracle is left out for time; the
+        # orbitals are taken over the group's elements
+        G = entry.group
+        size, map_at, positions = cl._idempotent_family(G)
+        assert [map_at(i) for i in range(size)] == list(_walk(G, MODE_IDEMPOTENTS))
+        assert positions == _first_positions(_orbital_oracle(G))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_orbit_labels_are_first_positions_of_orbits(self, data):
+        size = data.draw(st.integers(0, 40), label="size")
+        moves = data.draw(st.lists(st.permutations(range(size)), min_size=1, max_size=3), label="moves")
+        want = []
+        for i in range(size):
+            orbit, frontier = {i}, [i]
+            while frontier:
+                j = frontier.pop()
+                for move in moves:
+                    if move[j] not in orbit:
+                        orbit.add(move[j])
+                        frontier.append(move[j])
+            want.append(min(orbit))
+        arrays = [np.array(move, dtype=np.int32) for move in moves]
+        assert cl._orbit_labels(size, arrays).tolist() == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -466,10 +537,8 @@ class TestSharedScan:
                 continue
             sync_maximal = cl._sync_maximal_check(G)
             checks = [cl._condition_check(G, i) for i in range(2, 7)]
-            size, map_at, _ = cl._family(G, MODE_ALL)
-            total += size
-            for i in range(size):
-                f = map_at(i)
+            for f in _walk(G, MODE_ALL):
+                total += 1
                 if sync_maximal(f)[0]:
                     passed += 1
                     assert [c(f)[0] for c in checks] == [True] * 5, (entry.name, f)

@@ -119,6 +119,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_below_degree_3_exits_2(self, capsys):
+        # no group of the battery has degree 2 or less: no "ok": true on nothing
+        code, out, err = run(capsys, "verify", "--max-degree", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: max degree 2 outside")
+
 
 class TestSearchCommand:
     def test_writes_records(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -166,6 +167,8 @@ class TestOrbitsAgainstElements:
             assert gr.is_k_transitive(G, k) == (len(tuples) == math.perm(n, k))
             assert gr.is_k_homogeneous(G, k) == (len(sets) == math.comb(n, k))
             assert gr.set_orbit(G, frozenset(range(k))) == sets
+        for a, b in itertools.permutations(range(n), 2):
+            assert gr.orbital(G, a, b) == {(g(a), g(b)) for g in elements}
 
 
 class TestPrimitivity:

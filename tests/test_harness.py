@@ -76,6 +76,12 @@ class TestVerifyTheorems:
         with pytest.raises(ValueError):
             harness.verify_theorems(cl.ALL_MAPS_CAP + 1)
 
+    @pytest.mark.parametrize("max_degree", [2, 0, -1])
+    def test_degree_below_3_raises(self, max_degree):
+        # the battery starts at degree 3; below it no group would be checked
+        with pytest.raises(ValueError, match="outside"):
+            harness.verify_theorems(max_degree)
+
     def test_equals_primitive_violations(self, monkeypatch):
         # classify with sync-max and condition 2 flipped: every degree-3
         # group breaks both "equals primitive" checks, in this order

@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,29 +127,6 @@ class TestEnumerators:
         assert len(list(perm.enumerate_maps_of_rank(4, 2))) == 84
         assert list(perm.enumerate_maps_of_rank(4, 0)) == []
         assert list(perm.enumerate_maps_of_rank(4, 5)) == []
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_codes_of_rank_decode_to_maps_of_rank(self, n):
-        # ranks 0 and n + 1 hold no map, so their codes come back empty
-        for r in range(n + 2):
-            codes = perm.codes_of_rank(n, r)
-            assert codes.dtype == np.int32
-            decoded = [tuple(int(c) // n ** (n - 1 - i) % n for i in range(n)) for c in codes]
-            assert decoded == [m.image for m in perm.enumerate_maps_of_rank(n, r)], r
-
-    def test_rank_table_is_built_once_per_degree_and_read_only(self):
-        perm._code_ranks.cache_clear()
-        for r in range(2, 5):
-            perm.codes_of_rank(5, r)
-        info = perm._code_ranks.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        ranks = perm._code_ranks(5)
-        assert not ranks.flags.writeable
-        with pytest.raises(ValueError):
-            ranks[0] = 3
-        codes = perm.codes_of_rank(5, 3)
-        codes[0] = -1  # the caller's own array
-        assert perm.codes_of_rank(5, 3)[0] != -1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rank_partition_is_exhaustive(self, n):
