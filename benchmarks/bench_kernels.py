@@ -2,7 +2,8 @@
 the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
 On each, the power-set walk (subset_reach) runs as dispatched and in
 both of its forms, the reset word (reset_word_bfs) is timed, and the
-merged Syn-DFA table is refined by moore_refine and by both of its paths.
+merged Syn-DFA table is refined by moore_refine and by both of its paths,
+and the rounds path's start (_initial_partition) is timed on its own.
 The pair table is timed on the Černý automaton, and condition 3's check
 (the 2-subset collapse table, its refinement and the witness) on S_n and
 C_n plus the idempotent 1 1 2 ... at n = 5 and 8, on C7 plus 1 1 2 ...
@@ -145,6 +146,7 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
             (f"moore_refine, {name} ({len(merged)} rows)", "moore_refine"),
             ("  _refine_rounds", "_refine_rounds"),
             ("  _refine_loop", "_refine_loop"),
+            ("  _initial_partition", "_initial_partition"),
         ]
         for label, path in refines:
             refine = getattr(_kernels, path)

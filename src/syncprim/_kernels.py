@@ -21,6 +21,13 @@ strong scan; and a numpy version that starts from _initial_partition's
 arrays and splits on a whole worklist per round, for tables of
 ROUNDS_MIN_ROWS rows or more, such as the Syn-DFA tables of the power
 set.
+The walk's first-occurrence order and _initial_partition's preimage CSR
+are stable orders of bounded keys, masks below 2^n and targets below the
+row count (_stable_order): radix orders while the keys fit 16 bits, that
+is up to n = 16 and 65 536 rows.  There the comparison sorts left on the
+syn-dfa path are the rounds' key sort, where a radix order measured no
+faster, and two small ones: a batch's first-occurrence positions, and
+np.unique of the initial labels once per call.
 benchmarks/bench_kernels.py times the kernels, both walk forms and both
 refinement paths.
 """
@@ -162,7 +169,7 @@ def _walk_batches(letters, n):
         np.take(index, succ, out=rows)
         fresh = np.flatnonzero(rows < 0)
         found = succ[fresh]
-        order = found.argsort(kind="stable")
+        order = _stable_order(found, n)
         first = np.sort(order[_runs(found[order])[0]])  # positions in found
         masks, first = found[first], fresh[first] + lo * L
         stop = count + len(masks)
@@ -171,6 +178,18 @@ def _walk_batches(letters, n):
         rows[fresh] = index[found]
         yield states[:stop], trans[:hi], first
         lo, count = hi, stop
+
+
+def _stable_order(keys: np.ndarray, bits: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for non-negative integer keys below
+    2^bits.  Up to 16 bits the keys are cast to uint16, whose stable sort
+    in numpy is a radix sort, so the order is linear.  Wider keys keep the
+    comparison sort (timsort): the only wider keys measured, the targets
+    of the Cerny tables from n = 17, come in long sorted runs on which it
+    beat two 16-bit radix passes."""
+    if bits <= 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    return np.argsort(keys, kind="stable")
 
 
 def _reach_batched(letters, n):
@@ -231,9 +250,19 @@ def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     dozen rows, where the loop's plain-list start keeps the fixed cost per
     call low.  The name predates the algorithm: perfbench traces the kernel
     under it, and the tests keep Moore's algorithm as an oracle.
+
+    A large table whose init_labels hold one value returns zeros without
+    _refine_rounds, which would build its preimage CSR to split nothing: a
+    complete DFA is stable under the whole state set.  Small tables skip
+    the test, which costs the per-map calls more than the loop's start on
+    such a table.
     """
-    refine = _refine_rounds if len(trans) >= ROUNDS_MIN_ROWS else _refine_loop
-    return refine(trans, init_labels)
+    if len(trans) < ROUNDS_MIN_ROWS:
+        return _refine_loop(trans, init_labels)
+    init_labels = np.asarray(init_labels)
+    if (init_labels == init_labels[0]).all():
+        return np.zeros(len(init_labels), np.int64)
+    return _refine_rounds(trans, init_labels)
 
 
 def _initial_partition(trans, init_labels):
@@ -260,8 +289,9 @@ def _initial_partition(trans, init_labels):
         np.cumsum(sizes, out=end[: len(sizes)])
         first[1 : len(sizes)] = end[: len(sizes) - 1]
     pre, off = [], []
+    bits = (S - 1).bit_length()
     for target in trans.T:
-        pre.append(np.argsort(target, kind="stable").astype(np.int32))
+        pre.append(_stable_order(target, bits).astype(np.int32))
         offsets = np.zeros(S + 1, np.int32)
         np.cumsum(np.bincount(target, minlength=S), out=offsets[1:])
         off.append(offsets)

@@ -91,10 +91,13 @@ def _idempotent_family(G: GroupSpec) -> Scan:
     g e g^-1 is e_(g(a)->g(b)), so the orbit of e in the family is one map
     per pair of the orbital of (a, b)."""
     maps = list(perm.enumerate_idempotents_rank_n_minus_1(G.degree))
+    # the image is every point but a, so a is 0 + 1 + ... + (n-1) minus its sum
+    total = G.degree * (G.degree - 1) // 2
     seen: set[tuple[int, int]] = set()
     positions = []
     for i, e in enumerate(maps):
-        pair = next((a, b) for a, b in enumerate(e.image) if a != b)
+        a = total - sum(set(e.image))
+        pair = (a, e.image[a])
         if pair not in seen:
             seen |= gr.orbital(G, *pair)
             positions.append(i)

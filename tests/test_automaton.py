@@ -461,12 +461,16 @@ class TestWalkForms:
 
     @pytest.mark.parametrize(
         "A, size, length",
-        [(am.cerny_automaton(n), (1 << n) - 1, (n - 1) ** 2) for n in range(13, 17)]
+        # n = 17: masks past 2^16, so the walk's first-occurrence order
+        # leaves the radix order; the random walk's batches repeat masks
+        # that differ only above bit 15
+        [(am.cerny_automaton(n), (1 << n) - 1, (n - 1) ** 2) for n in range(13, 18)]
         + [
             (nth_random_automaton(SplitMix64(2021), 16, 3, k + 1), size, length)
             for k, (size, length) in enumerate(RANDOM_16_WALKS)
-        ],
-        ids=[f"cerny-{n}" for n in range(13, 17)] + [f"random-16-{k}" for k in range(8)],
+        ]
+        + [(nth_random_automaton(SplitMix64(17), 17, 3, 1), 121670, 10)],
+        ids=[f"cerny-{n}" for n in range(13, 18)] + [f"random-16-{k}" for k in range(8)] + ["random-17"],
     )
     def test_forms_agree_on_large_tables(self, A, size, length):
         n, letters = A.degree, A.letter_array()
@@ -489,6 +493,36 @@ class TestWalkForms:
         states, _ = _kernels.subset_reach(am.cerny_automaton(n).letter_array(), n)
         assert called == ["_reach_loop" if offset < 0 else "_reach_batched"]
         assert len(states) == (1 << n) - 1
+
+
+class TestStableOrder:
+    """_stable_order, the order of the walk and of the refinement start
+    (a radix order up to 16 bits), against numpy's stable argsort, on
+    keys of either side of 16 bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_stable_argsort(self, data):
+        bits = data.draw(st.integers(1, 32), label="bits")
+        top = (1 << bits) - 1
+        # few distinct values, so equal keys and keys equal in their low
+        # 16 bits come up; 2^16 - 1 and 2^16 straddle the first digit
+        value = st.one_of(st.integers(0, top), st.sampled_from([0, top, min(top, 0xFFFF), min(top, 1 << 16)]))
+        values = data.draw(st.lists(value, min_size=1, max_size=6), label="values")
+        low = data.draw(st.integers(0, 3), label="low digit")
+        values += [v & ~0xFFFF | low for v in values]
+        dtype = data.draw(st.sampled_from([np.int64] + [np.int32] * (bits < 32)), label="dtype")
+        keys = np.array(data.draw(st.lists(st.sampled_from(values), max_size=200), label="keys"), dtype)
+        order = _kernels._stable_order(keys, bits)
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+
+    @pytest.mark.parametrize("bits", [16, 17, 24, 31])
+    def test_large_arrays(self, bits):
+        rng = np.random.default_rng(bits)
+        keys = rng.integers(0, 1 << bits, 100_000).astype(np.int32)
+        keys[::7] &= 0xFFFF  # high digit 0, low digits shared with larger keys
+        order = _kernels._stable_order(keys, bits)
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 class TestCompletelyReachable:
@@ -783,6 +817,39 @@ class TestRefinementPaths:
         labels = _kernels.moore_refine(trans, init)
         assert called == ["_refine_loop" if offset < 0 else "_refine_rounds"]
         assert partition(labels) == partition(moore_oracle(trans, init))
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
+    def test_one_label_skips_the_rounds_path(self, offset, monkeypatch):
+        # the Syn-DFA table of a non-synchronizing automaton has no
+        # accepting state: one initial label, and nothing to split
+        rows = _kernels.ROUNDS_MIN_ROWS + offset
+        rng = np.random.default_rng(rows)
+        trans = rng.integers(0, rows, (rows, 3)).astype(np.int32)
+        init = np.full(rows, 5)
+        called = []
+        for name in ("_refine_rounds", "_refine_loop"):
+            def spy(trans, init, name=name, refine=getattr(_kernels, name)):
+                called.append(name)
+                return refine(trans, init)
+            monkeypatch.setattr(_kernels, name, spy)
+        labels = _kernels.moore_refine(trans, init)
+        assert called == (["_refine_loop"] if offset < 0 else [])
+        assert labels.dtype == np.int64 and labels.tolist() == [0] * rows
+
+    def test_start_and_paths_past_16_bits(self):
+        # more than 2^16 rows: the preimage CSR orders targets of 17 bits
+        rows = (1 << 16) + 4_000
+        rng = np.random.default_rng(17)
+        trans = rng.integers(0, rows, (rows, 2)).astype(np.int32)
+        trans[::3, 0] &= 0xFFFF  # targets below 2^16 beside larger ones of the same low digit
+        init = rng.integers(0, 3, rows)
+        _, _, _, _, _, _, pre, off = _kernels._initial_partition(trans, init)
+        for target, pre_l, off_l in zip(trans.T, pre, off):
+            assert pre_l.dtype == off_l.dtype == np.int32
+            assert pre_l.tolist() == np.argsort(target, kind="stable").tolist()
+            assert off_l.tolist() == [0] + np.cumsum(np.bincount(target, minlength=rows)).tolist()
+        labels = _kernels._refine_rounds(trans, init)
+        assert partition(labels) == partition(_kernels._refine_loop(trans, init))
 
     @pytest.mark.parametrize(
         "A",
