@@ -3,7 +3,11 @@ the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
 On each, the power-set walk (subset_reach) runs as dispatched and in
 both of its forms, the reset word (reset_word_bfs) is timed, and the
 merged Syn-DFA table is refined by moore_refine and by both of its paths,
-and the rounds path's start (_initial_partition) is timed on its own.
+and the rounds path's start (_initial_partition: the compact initial
+labels, the block sizes and each letter's preimage CSR) is timed on its
+own.  _refine_rounds is also timed on the merged Syn-DFA of the Černý
+automaton at n = 18 (262 126 rows, about 290 rounds), a deep large table
+on which a pass over every state in each round would show.
 The pair table is timed on the Černý automaton, and condition 3's check
 (the 2-subset collapse table, its refinement and the witness) on S_n and
 C_n plus the idempotent 1 1 2 ... at n = 5 and 8, on C7 plus 1 1 2 ...
@@ -41,6 +45,7 @@ from pathlib import Path
 
 RANDOM_SEED = 2021
 RANDOM_DEGREE = 16
+DEEP_DEGREE = 18
 MIN_TOTAL_S = 0.2
 
 
@@ -151,6 +156,10 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
         for label, path in refines:
             refine = getattr(_kernels, path)
             rows.append((label, lambda refine=refine, merged=merged, init=init: refine(merged, init)))
+
+    _, merged, init = syn_dfa_table(cerny_automaton(DEEP_DEGREE).letter_array(), DEEP_DEGREE)
+    label = f"_refine_rounds, Cerny {DEEP_DEGREE} ({len(merged)} rows)"
+    rows.append((label, lambda merged=merged, init=init: _kernels._refine_rounds(merged, init)))
 
     for name, B in (("S8 + 1 1 2 ...", group_plus_112(catalog.symmetric, 8)), ("Cerny 10", cerny_automaton(10))):
         B_letters, n = B.letter_array(), B.degree

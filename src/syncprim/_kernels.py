@@ -15,12 +15,12 @@ The pair table (pair_merge_table) is a backward BFS from the diagonal over the l
 preimage lists; it never builds the power set and returns a symmetric
 bool matrix of the mergeable state pairs.  Partition refinement
 (Hopcroft's algorithm, moore_refine) has two paths that give the same
-partition: a Python loop over flat lists, its start included, for small
-tables such as the 2-subset collapse tables of condition 3 and the
-strong scan; and a numpy version that starts from _initial_partition's
-arrays and splits on a whole worklist per round, for tables of
-ROUNDS_MIN_ROWS rows or more, such as the Syn-DFA tables of the power
-set.
+partition: a Python loop over a flat refinable partition in lists, its
+start included, for small tables such as the 2-subset collapse tables of
+condition 3 and the strong scan; and a numpy version that keeps only a
+block label per state and a size per block, and splits on a whole
+worklist per round, for tables of ROUNDS_MIN_ROWS rows or more, such as
+the Syn-DFA tables of the power set.
 The walk's first-occurrence order and _initial_partition's preimage CSR
 are stable orders of bounded keys, masks below 2^n and targets below the
 row count (_stable_order): radix orders while the keys fit 16 bits, that
@@ -229,8 +229,11 @@ def pair_merge_table(letters, n):
 # work outweighs that.  Measured crossovers: about 1 000 rows on the Syn-DFA
 # tables of random automata and the cardinality tables of condition 5,
 # about 2 000 on the Syn-DFA and collapse tables of S_n plus an idempotent,
-# 4 000 to 8 000 on those of D_n and the Cerny automaton, which refine in
-# many small rounds.
+# 4 000 on those of D_n (D12 plus 1 1 2 ..., 4 084 rows: 13.5 ms on the
+# rounds against 14.6 ms in the loop) and 8 000 on the Cerny automaton,
+# which refines in about n^2 small rounds (Cerny 12, 4 084 rows: 20 against
+# 11 ms; Cerny 13, 8 179 rows: 26 against 24 ms; Cerny 14: 37 against
+# 54 ms; best of 5 on a 2-vCPU Xeon VM).
 ROUNDS_MIN_ROWS = 2048
 
 
@@ -266,28 +269,18 @@ def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
 
 
 def _initial_partition(trans, init_labels):
-    """The start of _refine_rounds, in numpy.  _refine_loop builds the
-    same layout in lists.
+    """The start of _refine_rounds, in numpy.
 
-    Returns the initial labels made compact (block ids 0..k-1), the size
-    of each initial block, and as int32 arrays: elems, the states sorted
-    by label; loc, the position of each state in elems; first and end,
-    one entry per state, with block b at elems[first[b]:end[b]] and zeros
-    past the initial blocks; and per letter l the preimages in CSR layout,
-    pre[l][off[l][s]:off[l][s + 1]] being the states l sends to s.
+    Returns the initial labels made compact (block ids 0..k-1), as int32;
+    the size of every block, one int32 entry per state, since block ids
+    run up to S - 1, with zeros past the initial blocks; and per letter the
+    preimages in CSR layout, pre[l][off[l][s]:off[l][s + 1]] being the
+    states l sends to s.
     """
     trans = np.asarray(trans)
     labels = np.unique(np.asarray(init_labels), return_inverse=True)[1].reshape(-1).astype(np.int32)
     S = len(labels)
-    sizes = np.bincount(labels, minlength=1)
-    elems = np.argsort(labels, kind="stable").astype(np.int32)
-    loc = np.empty(S, np.int32)
-    loc[elems] = np.arange(S, dtype=np.int32)
-    first = np.zeros(S, np.int32)
-    end = np.zeros(S, np.int32)
-    if S:
-        np.cumsum(sizes, out=end[: len(sizes)])
-        first[1 : len(sizes)] = end[: len(sizes) - 1]
+    sizes = np.bincount(labels, minlength=S).astype(np.int32)
     pre, off = [], []
     bits = (S - 1).bit_length()
     for target in trans.T:
@@ -295,7 +288,7 @@ def _initial_partition(trans, init_labels):
         offsets = np.zeros(S + 1, np.int32)
         np.cumsum(np.bincount(target, minlength=S), out=offsets[1:])
         off.append(offsets)
-    return labels, sizes, elems, loc, first, end, pre, off
+    return labels, sizes, pre, off
 
 
 def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
@@ -320,9 +313,9 @@ def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     Preimages in a singleton block are skipped, since it cannot split, and
     the loop stops once every block is a singleton.
 
-    The start is built in lists too, in the layout of _initial_partition:
-    on tables of a few dozen rows a numpy start costs more than the whole
-    refinement.
+    The start is built in lists too, elems, loc, first and end included,
+    which _refine_rounds does without: on tables of a few dozen rows a
+    numpy start costs more than the whole refinement.
     """
     init = np.asarray(init_labels).tolist()
     S = len(init)
@@ -409,55 +402,69 @@ def _refine_rounds(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     """Hopcroft's algorithm with a batched worklist, in numpy: the fast path
     for large tables.
 
-    The partition is laid out as in _refine_loop (elems, loc, block,
-    first, end).  Each round takes every worklist block as a splitter, with
+    The partition is block, one label per state, and size, one entry per
+    block id.  Each round takes every worklist block as a splitter, with
     its states fixed at the round start.  Letter by letter, it gathers the
     preimages of all splitter states through the CSR arrays, keys each
     preimage by (its current block, the splitter its successor lies in),
     and sorts the keys once.  Every touched block then splits into its key
     groups plus the untouched remainder: states with successors in
     different splitters, or in a splitter and outside all of them, are
-    inequivalent.  The touched states move to the tail of their block's
-    range in key order, so every part stays contiguous.  The remainder
-    keeps the block id; when nothing is untouched, the first group keeps
-    it.  A block still on the worklist pushes all its new parts; any other
-    block pushes all parts but a largest one, by the same argument as in
-    _refine_loop.  Preimages in singleton blocks are dropped, and the
-    rounds stop when the worklist is empty or every block is a singleton.
-    The work is O(m log n) elements, plus a fixed number of numpy calls
-    per round and letter.
+    inequivalent.  The remainder keeps the block id; when nothing is
+    untouched, the first group keeps it.  A block still on the worklist
+    pushes all its new parts; any other block pushes all parts but a
+    largest one, by the same argument as in _refine_loop.  Preimages in
+    singleton blocks are dropped, and the rounds stop when the worklist is
+    empty or every block is a singleton.
+
+    A round's splitter states are the states the previous round's splits
+    touched, each once, of those whose block is on the worklist: every
+    part a split queues is made of touched states, but for an untouched
+    remainder.  So the first round, and a round after a split that queued
+    an untouched remainder, take the splitter states from one pass over
+    block instead.  The work is O(m log n) elements, plus a fixed number
+    of numpy calls per round and letter.
     """
-    block, sizes, elems, loc, first, end, pre, off = _initial_partition(trans, init_labels)
+    block, size, pre, off = _initial_partition(trans, init_labels)
     S = len(block)
     if S == 0:
         return block.astype(np.int64)
-    k = len(sizes)
-    on_work = np.zeros(S, bool)
-    on_work[:k] = True
-    on_work[np.argmax(sizes)] = False
-    marked = np.zeros(S, bool)
-    count = k
-    while count < S:
-        work = np.flatnonzero(on_work[:count])
-        if not len(work):
+    count = int(block.max()) + 1
+    on_work = size > 0
+    on_work[np.argmax(size)] = False
+    seen = np.empty(S, np.int32)
+    touched, full_pass = [], True
+    while count < S and (full_pass or touched):
+        if full_pass:
+            splitter = np.flatnonzero(on_work[block])
+        else:
+            x = np.concatenate(touched)
+            at = np.arange(len(x), dtype=np.int32)
+            seen[x] = at  # one position per state survives: x deduplicated
+            splitter = x[(seen[x] == at) & on_work[block[x]]]
+        if not len(splitter):
             break
-        on_work[work] = False
-        wsize = end[work] - first[work]
-        splitter = elems[_ranges(first[work], wsize)]
-        which = np.arange(len(work), dtype=np.int32).repeat(wsize)
+        which = block[splitter]
+        on_work[which] = False
+        touched, full_pass = [], False
         for pre_l, off_l in zip(pre, off):
             lo = off_l[splitter]
             n_pre = off_l[splitter + 1] - lo
             p = pre_l[_ranges(lo, n_pre)]
             b = block[p]
-            live = end[b] - first[b] > 1
-            # key: (block, splitter index), one int64
-            key = b[live].astype(np.int64) * len(work) + which.repeat(n_pre)[live]
+            live = size[b] > 1
+            # key: (block, splitter block), one int64
+            key = b[live].astype(np.int64) * S + which.repeat(n_pre)[live]
             if not len(key):
                 continue
             order = key.argsort()
             key, p, b = key[order], p[live][order], b[live][order]
-            count = _split(key, p, b, elems, loc, block, first, end, on_work, marked, count)
+            split, queued_rest = _split(key, p, b, block, size, on_work, count)
+            full_pass |= queued_rest
+            # a letter that split nothing queued nothing
+            if split > count and not full_pass:
+                touched.append(p)
+            count = split
             if count == S:
                 break
     return block.astype(np.int64)
@@ -472,30 +479,20 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-def _split(key, p, b, elems, loc, block, first, end, on_work, marked, count):
+def _split(key, p, b, block, size, on_work, count):
     """One letter's splits in _refine_rounds: p are the touched states
-    sorted by key, b their blocks.  Updates the partition and the worklist
-    in place and returns the new block count.  A block whose states are
-    all touched and share one key comes through unchanged."""
+    sorted by key, b their blocks.  Updates block, size and the worklist
+    in place.  Returns the new block count, and whether a split queued an
+    untouched remainder, whose states p does not hold, so that the next
+    round must find its splitter states by a pass over block.  A block
+    whose states are all touched and share one key comes through
+    unchanged."""
     bstart, n_touched = _runs(b)
     gstart, gsize = _runs(key)
     tb = b[bstart]
-    rest = end[tb] - first[tb] - n_touched
+    rest = size[tb] - n_touched
     if len(gstart) == len(bstart) and not rest.any():
-        return count
-    # move the touched states to the tail of their block, in key order
-    tail = end[tb] - n_touched
-    dest = _ranges(tail, n_touched)
-    marked[p] = True
-    occupant = elems[dest]
-    displaced = occupant[~marked[occupant]]
-    marked[p] = False
-    cur = loc[p]
-    vacated = cur[cur < tail.repeat(n_touched)]
-    elems[vacated] = displaced
-    loc[displaced] = vacated
-    elems[dest] = p
-    loc[p] = dest
+        return count, False
     # every group is a new block, but the first group of a block with no
     # untouched remainder keeps the block id
     first_group = np.searchsorted(gstart, bstart)
@@ -508,11 +505,9 @@ def _split(key, p, b, elems, loc, block, first, end, on_work, marked, count):
     gid = tb[owner]
     gid[is_new] = np.arange(count, count + n_new, dtype=np.int32)
     block[p] = gid.repeat(gsize)
-    new_first = dest[gstart[is_new]]
-    first[count : count + n_new] = new_first
-    end[count : count + n_new] = new_first + gsize[is_new]
+    size[count : count + n_new] = gsize[is_new]
     kept_size = np.where(rest > 0, rest, gsize[first_group])
-    end[tb] = first[tb] + kept_size
+    size[tb] = kept_size
     # the worklist: a queued block pushes all its new parts, any other
     # block all parts but a largest, leaving out the kept part if it is one
     largest = np.maximum(rest, np.maximum.reduceat(gsize, first_group))
@@ -523,4 +518,4 @@ def _split(key, p, b, elems, loc, block, first, end, on_work, marked, count):
         firsts = leave_out[np.searchsorted(leave_out, first_group[push_kept])]
         on_work[gid[firsts]] = False
         on_work[tb[push_kept]] = True
-    return count + n_new
+    return count + n_new, bool((push_kept & (rest > 0)).any())

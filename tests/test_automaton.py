@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -745,6 +746,23 @@ class TestRefinementPaths:
         labels = self.check(refine, trans, [0, 0, 0, 0, 0, 0, 1, 2])
         assert partition(labels) == [[0], [1, 2, 3], [4], [5], [6], [7]]
 
+    @REFINE_PATHS
+    def test_a_queued_remainder_split_again_in_its_round(self, refine):
+        # Two letters.  The first round splits by block {0, 5, 6, 8, 10}.
+        # Letter 0 touches {0, 5, 6, 10} and {2, 3, 4, 7}, so the untouched
+        # remainders {8} and {1, 9, 11} keep their block ids and, being the
+        # smaller parts, are queued; letter 1 splits {1, 9, 11} again, into
+        # {11} and the remainder {1, 9}, which stays queued.  No letter
+        # touched 1, 8 or 9, so the rounds path finds the next round's
+        # splitter states by a pass over the block labels.
+        trans = [[0, 7], [3, 11], [5, 8], [6, 1], [5, 9], [8, 1], [8, 11], [6, 1], [9, 0], [9, 11], [10, 4], [2, 5]]
+        init = [0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1]
+        labels = self.check(refine, trans, init)
+        assert partition(labels) == [[0], [1], [2], [3, 7], [4], [5], [6], [8], [9], [10], [11]]
+        if refine is _kernels._refine_rounds:
+            # the ids follow the rounds' splits: key order, then the worklist
+            assert labels.tolist() == [2, 1, 5, 9, 3, 7, 8, 9, 0, 6, 10, 4]
+
     # inputs in forms the int32 tables of check never take
     @REFINE_PATHS
     @pytest.mark.parametrize(
@@ -843,7 +861,7 @@ class TestRefinementPaths:
         trans = rng.integers(0, rows, (rows, 2)).astype(np.int32)
         trans[::3, 0] &= 0xFFFF  # targets below 2^16 beside larger ones of the same low digit
         init = rng.integers(0, 3, rows)
-        _, _, _, _, _, _, pre, off = _kernels._initial_partition(trans, init)
+        _, _, pre, off = _kernels._initial_partition(trans, init)
         for target, pre_l, off_l in zip(trans.T, pre, off):
             assert pre_l.dtype == off_l.dtype == np.int32
             assert pre_l.tolist() == np.argsort(target, kind="stable").tolist()
@@ -851,22 +869,51 @@ class TestRefinementPaths:
         labels = _kernels._refine_rounds(trans, init)
         assert partition(labels) == partition(_kernels._refine_loop(trans, init))
 
+    # The Cerny tables queue no untouched remainder, so every round after
+    # the first takes its splitter states from the states the last round
+    # touched; the random ones queue some, and 4 of the 13 rounds of the
+    # n = 16 one, the first included, take them from a pass over the block
+    # labels.  The digest pins the rounds path's labels, whose ids follow
+    # the key order and the worklist rule.
     @pytest.mark.parametrize(
-        "A",
+        "A, queues_remainders, digest",
         [
-            am.cerny_automaton(11),
-            am.cerny_automaton(12),
+            (am.cerny_automaton(11), False, "ce10da4769f535592794e3656d779effdaebfcbe16a46dbab2afaffb68858188"),
+            (am.cerny_automaton(12), False, "917f431cdb589b47c3b843efe7c78b2e94038df9a4b0a7f04c42cf373f86c863"),
+            (am.cerny_automaton(13), False, "074036858d0236f541d8763e913c76c655c2a78937991604d4f3f95633aa4e5a"),
+            (am.cerny_automaton(14), False, "d211ff0f5ea32776fa1befc920eea89c0feabcb28fa4e4163b2f749f68c4c328"),
             # 3 786 rows once its singletons are merged
-            nth_random_automaton(SplitMix64(2021), 12, 3, 4),
+            (
+                nth_random_automaton(SplitMix64(2021), 12, 3, 4),
+                True,
+                "faabb515a1479c7992824a72e70fedf603c4813b384f5b40ee4b7fddbc1ec28a",
+            ),
+            (
+                nth_random_automaton(SplitMix64(2021), 16, 3, 1),
+                True,
+                "e11e969d5b04960dd15d9791ccc18aaaaae5ed7bf2dd584b9f0c2ce8c6d3a43b",
+            ),
         ],
-        ids=["cerny-11", "cerny-12", "random-12"],
+        ids=["cerny-11", "cerny-12", "cerny-13", "cerny-14", "random-12", "random-16"],
     )
-    def test_merged_syn_dfa_tables_near_and_above_the_threshold(self, A):
+    def test_merged_syn_dfa_tables_near_and_above_the_threshold(self, A, queues_remainders, digest, monkeypatch):
         merged, init = self.syn_dfa_table(A)
         assert len(merged) > _kernels.ROUNDS_MIN_ROWS - 100
+        queued = []
+
+        def spy(*args, split=_kernels._split):
+            count, queued_rest = split(*args)
+            queued.append(queued_rest)
+            return count, queued_rest
+
+        monkeypatch.setattr(_kernels, "_split", spy)
         want = partition(moore_oracle(merged, init))
-        for refine in (_kernels._refine_rounds, _kernels._refine_loop, _kernels.moore_refine):
-            assert partition(refine(merged, init)) == want
+        rounds, loop, dispatched = (
+            refine(merged, init) for refine in (_kernels._refine_rounds, _kernels._refine_loop, _kernels.moore_refine)
+        )
+        assert partition(rounds) == partition(loop) == partition(dispatched) == want
+        assert any(queued) == queues_remainders
+        assert hashlib.sha256(rounds.astype("<i8").tobytes()).hexdigest() == digest
 
 
 class TestWitnessHelpers:
