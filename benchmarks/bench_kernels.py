@@ -2,12 +2,15 @@
 the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
 On each, the power-set walk (subset_reach) runs as dispatched and in
 both of its forms, the reset word (reset_word_bfs) is timed, and the
-merged Syn-DFA table is refined by moore_refine and by both of its paths,
-and the rounds path's start (_initial_partition: the compact initial
-labels, the block sizes and each letter's preimage CSR) is timed on its
-own.  _refine_rounds is also timed on the merged Syn-DFA of the Černý
-automaton at n = 18 (262 126 rows, about 290 rounds), a deep large table
-on which a pass over every state in each round would show.
+Syn-DFA table is refined by moore_refine and by both of its paths, and
+the rounds path's start (_initial_partition: the compact initial labels,
+the block sizes and each letter's preimage CSR) is timed on its own.
+Every refined table is the one the tree's own check hands moore_refine,
+caught by a spy on that call, so two trees that build their tables
+differently are each timed on their own.  _refine_rounds is also timed on
+the Syn-DFA table of the Černý automaton at n = 18 (262 143 rows, about
+290 rounds), a deep large table on which a pass over every state in each
+round would show.
 The pair table is timed on the Černý automaton, and condition 3's check
 (the 2-subset collapse table, its refinement and the witness) on S_n and
 C_n plus the idempotent 1 1 2 ... at n = 5 and 8, on C7 plus 1 1 2 ...
@@ -15,17 +18,18 @@ and on the Černý automaton at the degree cap, 64.  moore_refine alone is
 timed on the collapse tables condition 3 refines for S5 (11 rows) and C7
 (22 rows) plus 1 1 2 ..., the fixed cost per call of the per-map checks.
 The loop forms of the walk and of refinement are also timed at sizes
-production sends them: the merged Syn-DFA of S8 plus the map 1 1 2 ...
-(255 masks) and of the Černý automaton at n = 10 (1 014 rows).  One more row builds and labels the
+production sends them: the Syn-DFA tables of S8 plus the map 1 1 2 ...
+(255 rows) and of the Černý automaton at n = 10 (1 023 rows).  One more row builds and labels the
 degree-7 strong scan family (the 818 496 maps of rank 2..6) by orbit
 under S7 and under C7 one rank at a time, as is_strongly_sync_maximal
 does before checking one map per orbit of a rank.  The last row builds
 the idempotent scan, one map per orbital, of every group classify-idem
 runs: the catalog groups of degree 5-8 and the subgroups of S4.
 
-Prints the best of R runs of each kernel, in microseconds.  A kernel
-whose best run is under a millisecond is run again until its runs add up
-to MIN_TOTAL_S, so its best is taken over enough runs to be stable.
+Prints the best of R runs of each kernel, in microseconds.  Every kernel
+is run again until its runs add up to MIN_TOTAL_S, so a short one is
+timed over many runs.  Row labels hold no sizes of the tables a tree
+builds, since they can differ between two trees.
 
 With --against PATH, the syncprim of a second checkout at PATH is loaded
 into the same process under another package name, and every row is timed
@@ -65,12 +69,11 @@ def load_tree(root: str, name: str):
 def best(funcs, repeat: int) -> list[float]:
     """The best time of each function, over at least repeat runs.  The
     functions run in turn, the first of them alternating, until each has
-    repeat runs, and on while the best is under 1 ms and the runs of one
-    function add up to less than MIN_TOTAL_S."""
+    repeat runs and the runs of each add up to MIN_TOTAL_S."""
     for func in funcs:
         func()  # warm-up
     times = [[] for _ in funcs]
-    while len(times[0]) < repeat or (min(map(min, times)) < 1e-3 and sum(times[0]) < MIN_TOTAL_S):
+    while len(times[0]) < repeat or min(map(sum, times)) < MIN_TOTAL_S:
         order = list(range(len(funcs)))
         if len(times[0]) % 2:
             order.reverse()
@@ -83,36 +86,24 @@ def best(funcs, repeat: int) -> list[float]:
 
 def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
     """(label, function) for every row, on the syncprim package lib."""
-    import numpy as np
-
     _kernels, catalog, cl, am, harness, perm, rng = (
         importlib.import_module(f"{lib.__name__}.{name}")
         for name in ("_kernels", "catalog", "classify", "automaton", "harness", "perm", "rng")
     )
-    _merged_syn_dfa, all_2subsets_distinguishable = am._merged_syn_dfa, am.all_2subsets_distinguishable
+    all_2subsets_distinguishable, minimal_syn_dfa = am.all_2subsets_distinguishable, am.minimal_syn_dfa
     build_group_automaton, cerny_automaton = am.build_group_automaton, am.cerny_automaton
     DEGREE_CAP, Transformation = perm.DEGREE_CAP, perm.Transformation
 
     A = cerny_automaton(degree)
     letters = A.letter_array()
 
-    def syn_dfa_table(B_letters, n):
-        # the table minimal_syn_dfa refines: the subset automaton with its
-        # singletons merged into one accepting sink
-        states, trans = _kernels.subset_reach(B_letters, n)
-        merged, acc = _merged_syn_dfa(states, trans)
-        init = np.zeros(len(merged), dtype=np.int64)
-        if acc is not None:
-            init[acc] = 1
-        return states, merged, init
-
-    def collapse_table(B):
-        # the table condition 3 refines, as moore_refine receives it
+    def refined_table(check, B):
+        # the table check refines, as moore_refine receives it
         tables = []
         refine = am.moore_refine
         am.moore_refine = lambda trans, init: tables.append((trans, init)) or refine(trans, init)
         try:
-            all_2subsets_distinguishable(B)
+            check(B)
         finally:
             am.moore_refine = refine
         return tables[0]
@@ -131,15 +122,15 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
     for label, B in pair_cases:
         rows.append((f"condition 3, {label}", lambda B=B: all_2subsets_distinguishable(B)))
     for name, group, n in (("S5", catalog.symmetric, 5), ("C7", catalog.cyclic, 7)):
-        trans, init = collapse_table(group_plus_112(group, n))
-        label = f"moore_refine, {name} + 1 1 2 ... collapse ({len(trans)} rows)"
+        trans, init = refined_table(all_2subsets_distinguishable, group_plus_112(group, n))
+        label = f"moore_refine, {name} + 1 1 2 ... collapse"
         rows.append((label, lambda trans=trans, init=init: _kernels.moore_refine(trans, init)))
     R = harness.random_automaton(rng.SplitMix64(RANDOM_SEED), RANDOM_DEGREE, 3)
     for name, B in (("Cerny", A), (f"random n={RANDOM_DEGREE}", R)):
         B_letters, n = B.letter_array(), B.degree
-        states, merged, init = syn_dfa_table(B_letters, n)
+        trans, init = refined_table(minimal_syn_dfa, B)
         walks = [
-            (f"subset_reach, {name} ({len(states)} states)", "subset_reach"),
+            (f"subset_reach, {name}", "subset_reach"),
             ("  _reach_batched", "_reach_batched"),
             ("  _reach_loop", "_reach_loop"),
             (f"reset_word_bfs, {name}", "reset_word_bfs"),
@@ -148,26 +139,26 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
             walk = getattr(_kernels, func)
             rows.append((label, lambda walk=walk, B_letters=B_letters, n=n: walk(B_letters, n)))
         refines = [
-            (f"moore_refine, {name} ({len(merged)} rows)", "moore_refine"),
+            (f"moore_refine, {name} Syn-DFA", "moore_refine"),
             ("  _refine_rounds", "_refine_rounds"),
             ("  _refine_loop", "_refine_loop"),
             ("  _initial_partition", "_initial_partition"),
         ]
         for label, path in refines:
             refine = getattr(_kernels, path)
-            rows.append((label, lambda refine=refine, merged=merged, init=init: refine(merged, init)))
+            rows.append((label, lambda refine=refine, trans=trans, init=init: refine(trans, init)))
 
-    _, merged, init = syn_dfa_table(cerny_automaton(DEEP_DEGREE).letter_array(), DEEP_DEGREE)
-    label = f"_refine_rounds, Cerny {DEEP_DEGREE} ({len(merged)} rows)"
-    rows.append((label, lambda merged=merged, init=init: _kernels._refine_rounds(merged, init)))
+    trans, init = refined_table(minimal_syn_dfa, cerny_automaton(DEEP_DEGREE))
+    label = f"_refine_rounds, Cerny {DEEP_DEGREE} Syn-DFA"
+    rows.append((label, lambda trans=trans, init=init: _kernels._refine_rounds(trans, init)))
 
     for name, B in (("S8 + 1 1 2 ...", group_plus_112(catalog.symmetric, 8)), ("Cerny 10", cerny_automaton(10))):
         B_letters, n = B.letter_array(), B.degree
-        states, merged, init = syn_dfa_table(B_letters, n)
+        trans, init = refined_table(minimal_syn_dfa, B)
         reach = lambda B_letters=B_letters, n=n: _kernels._reach_loop(B_letters, n)  # noqa: E731
-        rows.append((f"_reach_loop, {name} ({len(states)} states)", reach))
-        refine = lambda merged=merged, init=init: _kernels._refine_loop(merged, init)  # noqa: E731
-        rows.append((f"_refine_loop, {name} ({len(merged)} rows)", refine))
+        rows.append((f"_reach_loop, {name}", reach))
+        refine = lambda trans=trans, init=init: _kernels._refine_loop(trans, init)  # noqa: E731
+        rows.append((f"_refine_loop, {name} Syn-DFA", refine))
 
     # a tree whose builders return moves, not a Scan, labels them here
     scan_of = getattr(cl, "_representatives", lambda scan: scan)

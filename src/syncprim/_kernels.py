@@ -229,11 +229,11 @@ def pair_merge_table(letters, n):
 # work outweighs that.  Measured crossovers: about 1 000 rows on the Syn-DFA
 # tables of random automata and the cardinality tables of condition 5,
 # about 2 000 on the Syn-DFA and collapse tables of S_n plus an idempotent,
-# 4 000 on those of D_n (D12 plus 1 1 2 ..., 4 084 rows: 13.5 ms on the
-# rounds against 14.6 ms in the loop) and 8 000 on the Cerny automaton,
-# which refines in about n^2 small rounds (Cerny 12, 4 084 rows: 20 against
-# 11 ms; Cerny 13, 8 179 rows: 26 against 24 ms; Cerny 14: 37 against
-# 54 ms; best of 5 on a 2-vCPU Xeon VM).
+# 4 000 on those of D_n (D12 plus 1 1 2 ..., 4 095 rows: 8.4 ms on the
+# rounds against 8.6 ms in the loop) and 8 000 on the Cerny automaton,
+# which refines in about n^2 small rounds (Cerny 12, 4 095 rows: 11.0
+# against 6.4 ms; Cerny 13, 8 191 rows: 15.0 against 14.0 ms; Cerny 14:
+# 21.5 against 33.1 ms; best of 5 on a 2-vCPU Xeon VM).
 ROUNDS_MIN_ROWS = 2048
 
 

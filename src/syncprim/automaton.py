@@ -94,49 +94,21 @@ def shortest_reset_word(A: SemiAutomaton) -> Optional[list[int]]:
     return reset_word_bfs(A.letter_array(), A.degree)
 
 
-def _merged_syn_dfa(states: np.ndarray, trans: np.ndarray):
-    """Collapse all singleton subset states into one accepting sink.
-
-    states, trans: the reachable subset automaton as subset_reach gives it.
-    Returns (trans, accepting_index or None).  Sound because a singleton
-    image stays a singleton under every letter.
-    """
-    single = (states & (states - 1)) == 0
-    if not single.any():
-        return trans, None
-    keep = ~single
-    acc = int(np.count_nonzero(keep))
-    remap = np.cumsum(keep, dtype=np.int32) - 1
-    remap[single] = acc
-    merged = np.empty((acc + 1, trans.shape[1]), dtype=np.int32)
-    merged[:acc] = remap[trans[keep]]
-    merged[acc] = acc  # accepting sink: singletons only map to singletons
-    return merged, acc
-
-
 def minimal_syn_dfa(A: SemiAutomaton) -> DfaSummary:
     """Size of the minimal DFA of the synchronizing language of A.
 
-    Built from the reachable subset automaton with all singleton states
-    merged into one accepting state, then minimized by Hopcroft partition
-    refinement.  When the language is empty every state is equivalent and
-    the count is 1 (the dead sink).
+    Hopcroft partition refinement of the reachable subset automaton, with
+    "is a singleton" as the initial label.  A singleton only maps to
+    singletons, so the reachable singletons stay one class: the one
+    accepting state of the 2^n - n bound, with no table merged.  When the
+    language is empty every state is equivalent and the count is 1 (the
+    dead sink).
     """
     _check_subset_cap(A)
-    trans, acc = _merged_syn_dfa(*subset_reach(A.letter_array(), A.degree))
-    init = np.zeros(trans.shape[0], dtype=np.int64)
-    if acc is not None:
-        init[acc] = 1
-    labels = moore_refine(trans, init)
-    return DfaSummary(int(labels.max()) + 1, 0 if acc is None else 1)
-
-
-def _sink_refinement(trans: np.ndarray, sink: int) -> np.ndarray:
-    """Refinement labels of a collapse DFA whose last state, sink, is the
-    only accepting one; returns the labels of the states before it."""
-    init = np.zeros(sink + 1, dtype=np.int64)
-    init[sink] = 1
-    return moore_refine(trans, init)[:sink]
+    states, trans = subset_reach(A.letter_array(), A.degree)
+    single = (states & (states - 1)) == 0
+    labels = moore_refine(trans, single)
+    return DfaSummary(int(labels.max()) + 1, int(single.any()))
 
 
 def _nonempty_subset_trans(A: SemiAutomaton) -> np.ndarray:
@@ -160,7 +132,7 @@ def _2subset_labels(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray, np.ndarra
     trans = np.empty((sink + 1, len(letters)), np.int32)
     trans[:sink] = index[letters[:, a], letters[:, b]].T
     trans[sink] = sink
-    return a, b, _sink_refinement(trans, sink)
+    return a, b, moore_refine(trans, np.arange(sink + 1) == sink)[:sink]
 
 
 def _first_pair(
@@ -237,22 +209,31 @@ def _first_repeat(
     return False, (mask_to_set(int(masks[earlier[j]])), mask_to_set(int(masks[j])))
 
 
+def _first_inseparable(
+    A: SemiAutomaton, initial
+) -> tuple[bool, Optional[tuple[frozenset[int], frozenset[int]]]]:
+    """Refine the table of all nonempty subsets from initial(sizes), labels
+    computed from the subset sizes, and return _first_repeat over the
+    subsets of size >= 2.  Subject to the power-set cap."""
+    _check_subset_cap(A)
+    masks = np.arange(1, 1 << A.degree)
+    sizes = _popcounts(A.degree)[1:]
+    labels = moore_refine(_nonempty_subset_trans(A), initial(sizes))
+    big = sizes > 1
+    return _first_repeat(masks[big], labels[big])
+
+
 def all_nonsingleton_distinguishable_witness(
     A: SemiAutomaton,
 ) -> tuple[bool, Optional[tuple[frozenset[int], frozenset[int]]]]:
     """Whether every two distinct subsets of size >= 2 are distinguishable.
 
-    Enumerates all 2^n - n - 1 non-singleton subsets, hence subject to the
-    power-set cap.  The witness pairs the first subset, in mask order,
-    that an earlier one cannot be told from with the first such earlier
-    subset."""
-    _check_subset_cap(A)
-    masks = np.arange(1, 1 << A.degree)
-    big = (masks & (masks - 1)) != 0
-    # the collapse DFA over all non-singletons is the merged Syn-DFA of the
-    # whole power set: kept rows in mask order, then the sink
-    trans, sink = _merged_syn_dfa(masks, _nonempty_subset_trans(A))
-    return _first_repeat(masks[big], _sink_refinement(trans, sink))
+    Refines all 2^n - 1 nonempty subsets with "is a singleton" as the
+    initial label, hence subject to the power-set cap; the singletons
+    stay one class, as in minimal_syn_dfa.  The witness pairs the first
+    subset, in mask order, that an earlier one cannot be told from with
+    the first such earlier subset."""
+    return _first_inseparable(A, lambda sizes: sizes == 1)
 
 
 def different_cardinality_reachable_witness(
@@ -265,12 +246,7 @@ def different_cardinality_reachable_witness(
     every word, i.e. when partition refinement with the cardinality as
     the initial label cannot separate them.  The witness is chosen as in
     all_nonsingleton_distinguishable_witness."""
-    _check_subset_cap(A)
-    masks = np.arange(1, 1 << A.degree)
-    sizes = _popcounts(A.degree)[1:]
-    labels = moore_refine(_nonempty_subset_trans(A), sizes)
-    big = sizes > 1
-    return _first_repeat(masks[big], labels[big])
+    return _first_inseparable(A, lambda sizes: sizes)
 
 
 def distinguish_witness(A: SemiAutomaton, S: frozenset[int], T: frozenset[int]) -> Optional[list[int]]:

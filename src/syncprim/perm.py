@@ -7,6 +7,7 @@ formal-language convention: compose(f, g) applies g first.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -167,16 +168,22 @@ def parse_image(text: str, n: int | None = None) -> Transformation:
     return Transformation(image)
 
 
+# One cycle: its body, the text between "(" and ")", is captured, so
+# splitting a line on this pattern leaves the text around and between the
+# cycles at the even indices.
+_CYCLE = re.compile(r"\(([^()]*)\)")
+
+
 def parse_cycles(text: str, n: int) -> Transformation:
-    """Parse cycle notation, e.g. "(0 1 2)(3)"; omitted points are fixed."""
-    stripped = text.replace(",", " ").strip()
-    if not (stripped.startswith("(") and stripped.endswith(")")):
+    """Parse cycle notation, e.g. "(0 1 2)(3)" or "(0 1 2) (3)"; omitted
+    points are fixed.  Only whitespace may stand around and between the
+    cycles."""
+    pieces = _CYCLE.split(text.replace(",", " "))
+    if len(pieces) < 3 or any(gap.strip() for gap in pieces[::2]):
         raise ParseError(f"not cycle notation: {text!r}")
     image = list(range(n))
     seen: set[int] = set()
-    for part in stripped[1:-1].split(")("):
-        if not part.strip():
-            continue
+    for part in pieces[1::2]:
         try:
             cycle = [int(tok) for tok in part.split()]
         except ValueError as exc:

@@ -162,8 +162,9 @@ def reset_word_oracle(letters, n):
 def collapse_refinement_oracle(A, masks):
     """Independent oracle for the collapse DFAs of conditions 3 and 4: the
     refinement labels of the given non-singleton masks, with the table
-    built mask by mask.  A letter's image leaving the mask list (becoming a
-    singleton) enters one absorbing sink."""
+    built mask by mask and refined by moore_oracle.  A letter's image
+    leaving the mask list (becoming a singleton) enters one absorbing
+    sink, the only accepting state."""
     index = {m: i for i, m in enumerate(masks)}
     sink = len(masks)
     trans = np.empty((sink + 1, len(A.letters)), dtype=np.int32)
@@ -171,17 +172,47 @@ def collapse_refinement_oracle(A, masks):
         for l, letter in enumerate(A.letters):
             trans[i, l] = index.get(letter.apply_mask(m), sink)
     trans[sink] = sink
-    return am._sink_refinement(trans, sink)
+    return moore_oracle(trans, np.arange(sink + 1) == sink)[:sink]
+
+
+def merge_singletons(states, trans):
+    """The merged Syn-DFA table: a subset automaton with all its singleton
+    states collapsed into one accepting sink, which every letter maps to
+    itself, as a singleton's image is a singleton.  The other rows keep
+    their order.  Returns the table and the initial labels: 1 on the sink,
+    0 elsewhere, and all 0 when no state is a singleton."""
+    single = (states & (states - 1)) == 0
+    if not single.any():
+        return trans, np.zeros(len(trans), np.int64)
+    keep = ~single
+    sink = int(np.count_nonzero(keep))
+    remap = np.cumsum(keep, dtype=np.int32) - 1
+    remap[single] = sink
+    merged = np.empty((sink + 1, trans.shape[1]), dtype=np.int32)
+    merged[:sink] = remap[trans[keep]]
+    merged[sink] = sink
+    init = np.zeros(sink + 1, np.int64)
+    init[sink] = 1
+    return merged, init
+
+
+def first_repeat_oracle(masks, labels):
+    """_first_repeat by a seen-dict loop: the first mask whose label
+    already occurred, paired with the first mask of that label."""
+    seen = {}
+    for i, lab in enumerate(labels):
+        if lab in seen:
+            return False, (am.mask_to_set(int(masks[seen[lab]])), am.mask_to_set(int(masks[i])))
+        seen[lab] = i
+    return True, None
 
 
 def pairwise_state_count(A):
-    """minimal_syn_dfa's state count, with the classes counted by the
-    pairwise-marking oracle instead of Hopcroft refinement."""
-    trans, acc = am._merged_syn_dfa(*_kernels.subset_reach(A.letter_array(), A.degree))
-    init = np.zeros(len(trans), dtype=np.int64)
-    if acc is not None:
-        init[acc] = 1
-    return int(pairwise_classes(trans, init).max()) + 1
+    """minimal_syn_dfa's state count by the oracles alone: the reachable
+    subsets of subset_reach_oracle with their singletons merged, and the
+    classes counted by pairwise marking."""
+    merged, init = merge_singletons(*subset_reach_oracle(A.letter_array(), A.degree))
+    return int(pairwise_classes(merged, init).max()) + 1
 
 
 def nth_random_automaton(rng, n, letters, k):
@@ -386,11 +417,11 @@ class TestPowerSetWalk:
         assert_same_arrays(_kernels.subset_reach(letters, n), subset_reach_oracle(letters, n))
         assert am.shortest_reset_word(A) == reset_word_oracle(letters, n)
         if n >= 3:
-            # condition 4's collapse DFA, read off the image table, against
-            # the mask-by-mask construction
-            masks = nonsingleton_masks(n)
-            trans, sink = am._merged_syn_dfa(np.arange(1, 1 << n), am._nonempty_subset_trans(A))
-            assert partition(am._sink_refinement(trans, sink)) == partition(collapse_refinement_oracle(A, masks))
+            # condition 4's table, read off the image table and refined from
+            # "is a singleton", against the mask-by-mask collapse DFA
+            sizes = am._popcounts(n)[1:]
+            labels = _kernels.moore_refine(am._nonempty_subset_trans(A), sizes == 1)
+            assert partition(labels[sizes > 1]) == partition(collapse_refinement_oracle(A, nonsingleton_masks(n)))
 
     @settings(max_examples=300, deadline=None)
     @given(automata())
@@ -663,26 +694,74 @@ class TestPartitionRefinement:
             am.build_group_automaton(catalog.cyclic(6), t(1, 1, 2, 3, 4, 5)),
             am.build_group_automaton(catalog.dihedral(6), t(0, 0, 2, 3, 4, 5)),
         ]:
-            states, trans = _kernels.subset_reach(A.letter_array(), A.degree)
-            merged, acc = am._merged_syn_dfa(states, trans)
-            init = np.zeros(len(merged), dtype=np.int64)
-            init[acc] = 1
+            merged, init = merge_singletons(*_kernels.subset_reach(A.letter_array(), A.degree))
             assert partition(_kernels.moore_refine(merged, init)) == partition(moore_oracle(merged, init))
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_cerny_syn_dfa_is_maximal(self, n):
         assert am.minimal_syn_dfa(am.cerny_automaton(n)).state_count == 2 ** n - n
 
-    def test_merged_syn_dfa_collapses_exactly_the_singletons(self):
-        A = am.build_group_automaton(catalog.cyclic(5), t(1, 1, 2, 3, 4))
-        states, trans = am.build_subset_automaton(A)
-        merged, acc = am._merged_syn_dfa(states, trans)
-        kept = [i for i, s in enumerate(states.tolist()) if s & (s - 1)]
-        new = {old: i for i, old in enumerate(kept)}
-        assert acc == len(kept) and merged.shape == (len(kept) + 1, len(A.letters))
-        for old, i in new.items():
-            assert merged[i].tolist() == [new.get(j, acc) for j in trans[old].tolist()]
-        assert merged[acc].tolist() == [acc] * len(A.letters)
+    @pytest.mark.parametrize(
+        "A",
+        [
+            am.build_group_automaton(catalog.cyclic(5), t(1, 1, 2, 3, 4)),
+            am.build_group_automaton(catalog.symmetric(4), t(1, 1, 2, 3)),
+            SemiAutomaton(3, (t(0, 0, 0),)),
+            am.cerny_automaton(6),
+            am.cerny_automaton(12),
+            nth_random_automaton(SplitMix64(2021), 16, 3, 1),
+        ],
+        ids=["C5", "S4", "constant", "cerny-6", "cerny-12", "random-16"],
+    )
+    def test_reachable_singletons_share_one_class(self, A, monkeypatch):
+        # minimal_syn_dfa and condition 4 refine their subset tables with no
+        # merge, from "is a singleton": the singletons must end in one
+        # class, apart from every non-singleton
+        refined = []
+
+        def spy(trans, init, refine=am.moore_refine):
+            labels = refine(trans, init)
+            refined.append(labels)
+            return labels
+
+        monkeypatch.setattr(am, "moore_refine", spy)
+        am.minimal_syn_dfa(A)
+        am.all_nonsingleton_distinguishable_witness(A)
+        n = A.degree
+        reached, _ = _kernels.subset_reach(A.letter_array(), n)
+        for masks, labels in zip((reached, np.arange(1, 1 << n)), refined, strict=True):
+            single = (masks & (masks - 1)) == 0
+            assert single.any() and len(set(labels[single].tolist())) == 1
+            assert labels[single][0] not in labels[~single]
+
+
+class TestMergedConstructionOracle:
+    """minimal_syn_dfa and condition 4 refine the subset tables with no
+    merge; the merged construction, every singleton collapsed into one
+    accepting sink and refined by moore_oracle, is their oracle."""
+
+    @staticmethod
+    def check(A):
+        merged, init = merge_singletons(*subset_reach_oracle(A.letter_array(), A.degree))
+        summary = am.minimal_syn_dfa(A)
+        assert summary.state_count == int(moore_oracle(merged, init).max()) + 1
+        assert summary.accepting_count == int(init.any())
+        masks = nonsingleton_masks(A.degree)
+        labels = collapse_refinement_oracle(A, masks).tolist()
+        assert am.all_nonsingleton_distinguishable_witness(A) == first_repeat_oracle(masks, labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(automata(max_states=8))
+    def test_drawn_automata(self, A):
+        self.check(A)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cerny(self, n):
+        self.check(am.cerny_automaton(n))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_random_16(self, k):
+        self.check(nth_random_automaton(SplitMix64(2021), 16, 3, k))
 
 
 REFINE_PATHS = pytest.mark.parametrize(
@@ -784,10 +863,7 @@ class TestRefinementPaths:
 
     @staticmethod
     def syn_dfa_table(A):
-        merged, acc = am._merged_syn_dfa(*_kernels.subset_reach(A.letter_array(), A.degree))
-        init = np.zeros(len(merged), dtype=np.int64)
-        init[acc] = 1
-        return merged, init
+        return merge_singletons(*_kernels.subset_reach(A.letter_array(), A.degree))
 
     @staticmethod
     def cardinality_table(A):
@@ -921,13 +997,7 @@ class TestWitnessHelpers:
     @given(st.lists(st.integers(0, 6), max_size=12))
     def test_first_repeat_matches_the_seen_dict_loop(self, labels):
         masks = np.arange(3, 3 + len(labels))
-        seen, want = {}, (True, None)
-        for i, lab in enumerate(labels):
-            if lab in seen:
-                want = (False, (am.mask_to_set(int(masks[seen[lab]])), am.mask_to_set(int(masks[i]))))
-                break
-            seen[lab] = i
-        assert am._first_repeat(masks, np.array(labels, dtype=np.int64)) == want
+        assert am._first_repeat(masks, np.array(labels, dtype=np.int64)) == first_repeat_oracle(masks, labels)
 
     def test_popcounts(self):
         for n in range(11):

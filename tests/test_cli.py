@@ -82,6 +82,23 @@ class TestClassifyCommand:
         assert code == 2
         assert "line 2" in err
 
+    def test_cycles_spaced_apart(self, capsys, tmp_path):
+        # D5 with its reflection written both ways, in the same file, whose
+        # path the report names: the reports agree byte for byte.  Text
+        # between two cycles is rejected.
+        path = tmp_path / "d5.grp"
+        reports = []
+        for line in ("(1 4)(2 3)", "(1 4) (2 3)"):
+            path.write_text(f"degree 5\n(0 1 2 3 4)\n{line}\n")
+            code, out, _ = run(capsys, "classify", str(path))
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+        path.write_text("degree 5\n(0 1 2 3 4)\n(1 4)x(2 3)\n")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert "line 3" in err and "not cycle notation" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "classify", str(tmp_path / "nope.grp"))
         assert code == 2

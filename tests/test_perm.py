@@ -218,6 +218,27 @@ class TestParsing:
         with pytest.raises(perm.ParseError):
             perm.parse_cycles("(0 4)", 3)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(0 1) (2 3)", "(0 1)(2 3)", "  (0 1)\t( 2 3 )  ", "(0 1) (2 3) ()", "(0, 1) (2, 3)"],
+    )
+    def test_cycles_with_whitespace_between_them(self, text):
+        assert perm.parse_cycles(text, 4) == t(1, 0, 3, 2)
+
+    @pytest.mark.parametrize(
+        "text", ["(0 1)x(2 3)", "(0 1) x (2 3)", "x(0 1)", "(0 1)x", "(0 (1) 2)", "(0 1", "0 1)", "(", ""]
+    )
+    def test_text_outside_the_cycles_is_not_cycle_notation(self, text):
+        with pytest.raises(perm.ParseError, match="not cycle notation"):
+            perm.parse_cycles(text, 4)
+
+    def test_bad_token_inside_a_cycle(self):
+        with pytest.raises(perm.ParseError, match="bad cycle '0 x'"):
+            perm.parse_cycles("(1 2) (0 x)", 4)
+
+    def test_empty_cycles_are_the_identity(self):
+        assert perm.parse_cycles("()", 3) == perm.parse_cycles("() ()", 3) == perm.identity(3)
+
     def test_parse_permutation_rejects_non_bijection(self):
         with pytest.raises(perm.ParseError, match="not a permutation"):
             perm.parse_permutation("0 0 1", 3)
