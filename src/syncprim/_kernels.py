@@ -14,20 +14,23 @@ that finds a singleton.
 The pair table (pair_merge_table) is a backward BFS from the diagonal over the letters'
 preimage lists; it never builds the power set and returns a symmetric
 bool matrix of the mergeable state pairs.  Partition refinement
-(Hopcroft's algorithm, moore_refine) has two paths that give the same
-partition: a Python loop over a flat refinable partition in lists, its
-start included, for small tables such as the 2-subset collapse tables of
-condition 3 and the strong scan; and a numpy version that keeps only a
-block label per state and a size per block, and splits on a whole
-worklist per round, for tables of ROUNDS_MIN_ROWS rows or more, such as
-the Syn-DFA tables of the power set.
+(moore_refine) has two paths that give the same partition.  Small
+tables, such as the 2-subset collapse tables of condition 3 and the
+strong scan, go to Hopcroft's algorithm as a Python loop over a flat
+refinable partition in lists, its start included.  Tables of
+ROUNDS_MIN_ROWS rows or more, such as the Syn-DFA tables of the power
+set, first get Moore's rounds on hashes of the states' signatures
+(_hashed_start) while each round adds more classes than the one before,
+and then Hopcroft's algorithm in numpy, which keeps only a block label
+per state and a size per block and splits on a whole worklist per round.
 The walk's first-occurrence order and _initial_partition's preimage CSR
 are stable orders of bounded keys, masks below 2^n and targets below the
 row count (_stable_order): radix orders while the keys fit 16 bits, that
 is up to n = 16 and 65 536 rows.  There the comparison sorts left on the
 syn-dfa path are the rounds' key sort, where a radix order measured no
-faster, and two small ones: a batch's first-occurrence positions, and
-np.unique of the initial labels once per call.
+faster, the hashed rounds' sort of 32-bit hashes, which counts their
+classes, and two small ones: a batch's first-occurrence positions, and
+np.unique of the start's keys once per call.
 benchmarks/bench_kernels.py times the kernels, both walk forms and both
 refinement paths.
 """
@@ -239,33 +242,104 @@ ROUNDS_MIN_ROWS = 2048
 
 def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     """The coarsest partition of a complete DFA's states that refines
-    init_labels and is stable under every letter, by Hopcroft's
-    O(m log n) algorithm.
+    init_labels and is stable under every letter: hashed Moore rounds while
+    they gain, then Hopcroft's O(m log n) algorithm.
 
     trans: (S, L) successor indices; init_labels: (S,) initial class labels.
     Returns one label per state.  Labels are compact ints 0..k-1 and
     deterministic for a given input, but otherwise opaque: callers compare
     them for equality and take their max.
 
-    Tables of ROUNDS_MIN_ROWS rows or more go to _refine_rounds, smaller
-    ones to _refine_loop; both give the same partition.  Most calls come
-    from the per-map checks of classify and search, on tables of a few
-    dozen rows, where the loop's plain-list start keeps the fixed cost per
-    call low.  The name predates the algorithm: perfbench traces the kernel
-    under it, and the tests keep Moore's algorithm as an oracle.
+    Tables of ROUNDS_MIN_ROWS rows or more go to _refine_rounds, from the
+    partition of _hashed_start; smaller ones go to _refine_loop, from
+    init_labels.  Both give the same partition.  Most calls come from the
+    per-map checks of classify and search, on tables of a few dozen rows,
+    where the loop's plain-list start keeps the fixed cost per call low.
+
+    When the hashed rounds stop by the second, Moore's classes are not
+    growing faster round by round, as on the Cerny tables, which gain one
+    class a round: _refine_rounds then starts from init_labels, since the
+    start's two rounds would not pay for its 64-bit keys, which
+    _refine_rounds would make compact and hold through its rounds.
 
     A large table whose init_labels hold one value returns zeros without
-    _refine_rounds, which would build its preimage CSR to split nothing: a
-    complete DFA is stable under the whole state set.  Small tables skip
-    the test, which costs the per-map calls more than the loop's start on
-    such a table.
+    the start or _refine_rounds, which would build its preimage CSR to
+    split nothing: a complete DFA is stable under the whole state set.
+    Small tables skip the test, which costs the per-map checks more than
+    the loop's start on such a table.
     """
     if len(trans) < ROUNDS_MIN_ROWS:
         return _refine_loop(trans, init_labels)
     init_labels = np.asarray(init_labels)
     if (init_labels == init_labels[0]).all():
         return np.zeros(len(init_labels), np.int64)
-    return _refine_rounds(trans, init_labels)
+    start, rounds = _hashed_start(trans, init_labels)
+    if rounds <= 2:
+        start = init_labels
+    return _refine_rounds(trans, start)
+
+
+# C of _hash_round, the multiplier of the initial label (2^64 over the
+# golden ratio); a letter's multiplier is an odd multiple of _HASH_R.  Both
+# are odd, so multiplying by them is a bijection of the uint64 values.
+_HASH_C = np.uint64(0x9E3779B97F4A7C15)
+_HASH_R = 0xBF58476D1CE4E5B9
+
+
+def _hash_round(trans: np.ndarray, label: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One hashed Moore round: C * label(s) + the sum over letters a of
+    R_a * h(trans[s, a]), in wraparound uint64, with C = _HASH_C and
+    R_a = (2a + 1) * _HASH_R."""
+    out = label * _HASH_C
+    for a, target in enumerate(trans.T):
+        step = np.take(h, target)
+        step *= np.uint64(_HASH_R * (2 * a + 1) % (1 << 64))
+        out += step
+    return out
+
+
+def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Moore's rounds on hashes, from init_labels: a partition between
+    init_labels and the coarsest stable one, as one uint64 key per state,
+    and the number of rounds it took.
+
+    h_0 is the compact initial label, and h_{k+1}(s) = C * h_0(s) + the sum
+    over letters a of R_a * h_k(trans[s, a]) (_hash_round).  States with
+    equal languages get equal h_k for every k, by induction on k, so the
+    start splits no class of the coarsest stable partition; states whose
+    hashes collide share a key, and _refine_rounds splits them.  After
+    each round a sort of the hashes' low 32 bits counts their classes (a
+    rare 32-bit collision only moves the stop).  The rounds go on while a
+    round adds more classes than the one before, and for at most
+    bit_length(S) rounds, each a gather and a multiply-add per letter and
+    one sort of S values.  On random Syn-DFA tables
+    Moore's classes grow geometrically until the last few rounds, and the
+    start ends with nearly all of them; the Cerny tables gain one class a
+    round, and the start stops after the second.
+
+    The key is the last hash shifted left past the compact initial label,
+    which fills its low bits: a hash collision between initial classes
+    merges no states across them, so the start refines init_labels, as
+    _refine_rounds requires.  A bool init_labels is its own compact label.
+    """
+    if init_labels.dtype == bool:
+        label, k = init_labels.view(np.uint8), 2
+    else:
+        values = np.unique(init_labels)
+        label, k = np.searchsorted(values, init_labels).astype(np.uint32), len(values)
+    h, classes, added = label.astype(np.uint64), k, 0
+    for rounds in range(1, len(h).bit_length() + 1):
+        h = _hash_round(trans, label, h)
+        low = h.astype(np.uint32)
+        low.sort()
+        count = 1 + int(np.count_nonzero(low[1:] != low[:-1]))
+        more, classes = count - classes, count
+        if more <= added:
+            break
+        added = more
+    h <<= np.uint64((k - 1).bit_length())
+    h |= label
+    return h, rounds
 
 
 def _initial_partition(trans, init_labels):

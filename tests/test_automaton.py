@@ -764,15 +764,24 @@ class TestMergedConstructionOracle:
         self.check(nth_random_automaton(SplitMix64(2021), 16, 3, k))
 
 
+def refine_from_start(trans, init):
+    """_refine_rounds from the hashed start, however few its rounds."""
+    trans, init = np.asarray(trans), np.asarray(init)
+    return _kernels._refine_rounds(trans, _kernels._hashed_start(trans, init)[0])
+
+
 REFINE_PATHS = pytest.mark.parametrize(
-    "refine", [_kernels._refine_rounds, _kernels._refine_loop], ids=["rounds", "loop"]
+    "refine",
+    [_kernels._refine_rounds, refine_from_start, _kernels._refine_loop],
+    ids=["rounds", "start", "loop"],
 )
 
 
 class TestRefinementPaths:
-    """Both refinement paths on their own against the Moore oracle, since
-    moore_refine keeps small tables off the rounds path, and the dispatch
-    between them."""
+    """The refinement paths on their own against the Moore oracle, since
+    moore_refine keeps small tables off the rounds path and hands the
+    rounds path the hashed start only when it took more than two rounds,
+    and the dispatch between them."""
 
     @staticmethod
     def check(refine, trans, init):
@@ -990,6 +999,85 @@ class TestRefinementPaths:
         assert partition(rounds) == partition(loop) == partition(dispatched) == want
         assert any(queued) == queues_remainders
         assert hashlib.sha256(rounds.astype("<i8").tobytes()).hexdigest() == digest
+
+
+class TestHashedStart:
+    """_hashed_start, the start moore_refine hands _refine_rounds: it must
+    refine init_labels and split no class of the coarsest stable
+    partition, whatever its hash does."""
+
+    @staticmethod
+    def syn_dfa_table(A):
+        # the table minimal_syn_dfa refines: no merge, "is a singleton"
+        states, trans = _kernels.subset_reach(A.letter_array(), A.degree)
+        return trans, (states & (states - 1)) == 0
+
+    @staticmethod
+    def refines(labels, coarser):
+        # every class of labels lies inside one class of coarser
+        return all(len(set(coarser[block].tolist())) == 1 for block in partition(labels))
+
+    @pytest.mark.parametrize(
+        "table, A",
+        [
+            ("syn-dfa", nth_random_automaton(SplitMix64(2021), 12, 3, 4)),
+            ("syn-dfa", nth_random_automaton(SplitMix64(2021), 14, 3, 2)),
+            ("syn-dfa", am.cerny_automaton(12)),
+            ("cardinality", am.build_group_automaton(catalog.symmetric(12), t(1, 1, *range(2, 12)))),
+        ],
+        ids=["random-12", "random-14", "cerny-12", "cardinality-S12"],
+    )
+    def test_every_state_colliding(self, table, A, monkeypatch):
+        # a hash under which every state collides in every round: only the
+        # pairing with the initial label keeps the initial classes apart
+        if table == "syn-dfa":
+            trans, init = self.syn_dfa_table(A)
+        else:
+            trans, init = TestRefinementPaths.cardinality_table(A)
+        assert len(trans) >= _kernels.ROUNDS_MIN_ROWS
+        want = partition(moore_oracle(trans, init))
+        monkeypatch.setattr(_kernels, "_hash_round", lambda trans, label, h: np.zeros(len(h), np.uint64))
+        key, _ = _kernels._hashed_start(trans, init)
+        assert key.dtype == np.uint64 and partition(key) == partition(init)
+        assert partition(_kernels._refine_rounds(trans, key)) == want
+        assert partition(_kernels.moore_refine(trans, init)) == want
+
+    # Cerny 3-12 and the eight random n = 16 automata of the benchmark
+    @pytest.mark.parametrize(
+        "A",
+        [am.cerny_automaton(n) for n in range(3, 13)]
+        + [nth_random_automaton(SplitMix64(2021), 16, 3, k) for k in range(1, 9)],
+        ids=[f"cerny-{n}" for n in range(3, 13)] + [f"random-16-{k}" for k in range(1, 9)],
+    )
+    def test_constant_on_every_oracle_class(self, A):
+        trans, init = self.syn_dfa_table(A)
+        key, _ = _kernels._hashed_start(trans, init)
+        assert self.refines(moore_oracle(trans, init), key) and self.refines(key, init)
+
+    @pytest.mark.parametrize(
+        "A, hands_on",
+        [(am.cerny_automaton(n), False) for n in (12, 13)]
+        + [(am.build_group_automaton(catalog.dihedral(12), t(1, 1, *range(2, 12))), False)]
+        + [(nth_random_automaton(SplitMix64(2021), 16, 3, k), True) for k in (1, 2, 3, 4)],
+        ids=["cerny-12", "cerny-13", "D12", "random-16-1", "random-16-2", "random-16-3", "random-16-4"],
+    )
+    def test_moore_refine_hands_on_a_start_of_more_than_two_rounds(self, A, hands_on, monkeypatch):
+        # the Cerny tables gain one class a round, and so does the D12 table
+        # in its first two: the start stops after the second, and
+        # _refine_rounds starts from init_labels; the random tables grow
+        # geometrically, and _refine_rounds starts from the key
+        trans, init = self.syn_dfa_table(A)
+        started = []
+
+        def spy(trans, start, refine=_kernels._refine_rounds):
+            started.append(start)
+            return refine(trans, start)
+
+        monkeypatch.setattr(_kernels, "_refine_rounds", spy)
+        _kernels.moore_refine(trans, init)
+        rounds = _kernels._hashed_start(trans, init)[1]
+        assert (rounds > 2) == hands_on
+        assert (started[0] is init) != hands_on
 
 
 class TestWitnessHelpers:
