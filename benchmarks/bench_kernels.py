@@ -1,10 +1,13 @@
 """Benchmark the hot kernels on two automata: the Černý automaton and
 the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
 On each, the power-set walk (subset_reach) runs as dispatched and in
-both of its forms, the reset word (reset_word_bfs) is timed, and the
-Syn-DFA table is refined by moore_refine and by both of its paths, and
-the rounds path's start (_initial_partition: the compact initial labels,
-the block sizes and each letter's preimage CSR) is timed on its own.
+both of its forms, and the reset word (reset_word_bfs) is timed.  Their
+Syn-DFA tables, and condition 5's table of D13 plus the map 1 1 2 ...
+(every nonempty subset, labelled by its size), are refined by
+moore_refine and by its parts: the hashed Moore rounds (_hashed_start)
+alone, _refine_rounds from their partition and from the initial labels,
+_refine_loop, and the rounds path's start (_initial_partition: the
+compact initial labels, the block sizes and each letter's preimage CSR).
 Every refined table is the one the tree's own check hands moore_refine,
 caught by a spy on that call, so two trees that build their tables
 differently are each timed on their own.  _refine_rounds is also timed on
@@ -35,7 +38,9 @@ With --against PATH, the syncprim of a second checkout at PATH is loaded
 into the same process under another package name, and every row is timed
 on both trees, their runs alternating, with the ratio of the two bests.
 Rows time differently from one process to the next, so only rows timed
-side by side in one process compare two trees.
+side by side in one process compare two trees.  A tree without the hashed
+start times nothing in its _hashed_start rows, and its rounds from the
+initial labels in the rows of the rounds from the start.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--degree N] [--repeat R] [--against PATH]
 """
@@ -125,10 +130,24 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
         trans, init = refined_table(all_2subsets_distinguishable, group_plus_112(group, n))
         label = f"moore_refine, {name} + 1 1 2 ... collapse"
         rows.append((label, lambda trans=trans, init=init: _kernels.moore_refine(trans, init)))
+    # a tree without the hashed start times nothing for it, and its rounds
+    # from the initial labels
+    hashed_start = getattr(_kernels, "_hashed_start", None)
+
+    def refinement_rows(label, trans, init):
+        start = hashed_start(trans, init)[0] if hashed_start else init
+        rows.extend([
+            (f"moore_refine, {label}", lambda: _kernels.moore_refine(trans, init)),
+            ("  _hashed_start", lambda: hashed_start and hashed_start(trans, init)),
+            ("  _refine_rounds from the hashed start", lambda: _kernels._refine_rounds(trans, start)),
+            ("  _refine_rounds from the initial labels", lambda: _kernels._refine_rounds(trans, init)),
+            ("  _refine_loop", lambda: _kernels._refine_loop(trans, init)),
+            ("  _initial_partition", lambda: _kernels._initial_partition(trans, init)),
+        ])
+
     R = harness.random_automaton(rng.SplitMix64(RANDOM_SEED), RANDOM_DEGREE, 3)
     for name, B in (("Cerny", A), (f"random n={RANDOM_DEGREE}", R)):
         B_letters, n = B.letter_array(), B.degree
-        trans, init = refined_table(minimal_syn_dfa, B)
         walks = [
             (f"subset_reach, {name}", "subset_reach"),
             ("  _reach_batched", "_reach_batched"),
@@ -138,15 +157,9 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
         for label, func in walks:
             walk = getattr(_kernels, func)
             rows.append((label, lambda walk=walk, B_letters=B_letters, n=n: walk(B_letters, n)))
-        refines = [
-            (f"moore_refine, {name} Syn-DFA", "moore_refine"),
-            ("  _refine_rounds", "_refine_rounds"),
-            ("  _refine_loop", "_refine_loop"),
-            ("  _initial_partition", "_initial_partition"),
-        ]
-        for label, path in refines:
-            refine = getattr(_kernels, path)
-            rows.append((label, lambda refine=refine, trans=trans, init=init: refine(trans, init)))
+        refinement_rows(f"{name} Syn-DFA", *refined_table(minimal_syn_dfa, B))
+    D13 = group_plus_112(catalog.dihedral, 13)
+    refinement_rows("D13 + 1 1 2 ... condition 5", *refined_table(am.different_cardinality_reachable_witness, D13))
 
     trans, init = refined_table(minimal_syn_dfa, cerny_automaton(DEEP_DEGREE))
     label = f"_refine_rounds, Cerny {DEEP_DEGREE} Syn-DFA"

@@ -286,16 +286,16 @@ _HASH_C = np.uint64(0x9E3779B97F4A7C15)
 _HASH_R = 0xBF58476D1CE4E5B9
 
 
-def _hash_round(trans: np.ndarray, label: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One hashed Moore round: C * label(s) + the sum over letters a of
-    R_a * h(trans[s, a]), in wraparound uint64, with C = _HASH_C and
-    R_a = (2a + 1) * _HASH_R."""
-    out = label * _HASH_C
+def _hash_round(trans: np.ndarray, label: np.ndarray, h: np.ndarray, out: np.ndarray, step: np.ndarray):
+    """One hashed Moore round, into out: C * label(s) + the sum over letters
+    a of R_a * h(trans[s, a]), in wraparound uint64, with C = _HASH_C and
+    R_a = (2a + 1) * _HASH_R.  step is scratch space the size of h."""
+    np.multiply(label, _HASH_C, out=out)
     for a, target in enumerate(trans.T):
-        step = np.take(h, target)
+        # the targets are in range; "raise" would gather into a copy of step
+        np.take(h, target, out=step, mode="wrap")
         step *= np.uint64(_HASH_R * (2 * a + 1) % (1 << 64))
         out += step
-    return out
 
 
 def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -327,10 +327,15 @@ def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarra
     else:
         values = np.unique(init_labels)
         label, k = np.searchsorted(values, init_labels).astype(np.uint32), len(values)
-    h, classes, added = label.astype(np.uint64), k, 0
-    for rounds in range(1, len(h).bit_length() + 1):
-        h = _hash_round(trans, label, h)
-        low = h.astype(np.uint32)
+    # the rounds write into buffers made once: fresh arrays the size of a
+    # large table cost page faults every round
+    h, out, step = label.astype(np.uint64), np.empty(len(label), np.uint64), np.empty(len(label), np.uint64)
+    low = np.empty(len(label), np.uint32)
+    classes, added = k, 0
+    for rounds in range(1, len(label).bit_length() + 1):
+        _hash_round(trans, label, h, out, step)
+        h, out = out, h
+        np.copyto(low, h, casting="unsafe")
         low.sort()
         count = 1 + int(np.count_nonzero(low[1:] != low[:-1]))
         more, classes = count - classes, count

@@ -1036,7 +1036,7 @@ class TestHashedStart:
             trans, init = TestRefinementPaths.cardinality_table(A)
         assert len(trans) >= _kernels.ROUNDS_MIN_ROWS
         want = partition(moore_oracle(trans, init))
-        monkeypatch.setattr(_kernels, "_hash_round", lambda trans, label, h: np.zeros(len(h), np.uint64))
+        monkeypatch.setattr(_kernels, "_hash_round", lambda trans, label, h, out, step: out.fill(0))
         key, _ = _kernels._hashed_start(trans, init)
         assert key.dtype == np.uint64 and partition(key) == partition(init)
         assert partition(_kernels._refine_rounds(trans, key)) == want
