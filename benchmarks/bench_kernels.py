@@ -159,7 +159,8 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
             rows.append((label, lambda walk=walk, B_letters=B_letters, n=n: walk(B_letters, n)))
         refinement_rows(f"{name} Syn-DFA", *refined_table(minimal_syn_dfa, B))
     D13 = group_plus_112(catalog.dihedral, 13)
-    refinement_rows("D13 + 1 1 2 ... condition 5", *refined_table(am.different_cardinality_reachable_witness, D13))
+    condition_5 = refined_table(am.different_cardinality_reachable_witness, D13)
+    refinement_rows("D13 + 1 1 2 ... condition 5", *condition_5)
 
     trans, init = refined_table(minimal_syn_dfa, cerny_automaton(DEEP_DEGREE))
     label = f"_refine_rounds, Cerny {DEEP_DEGREE} Syn-DFA"

@@ -312,10 +312,10 @@ def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarra
     rare 32-bit collision only moves the stop).  The rounds go on while a
     round adds more classes than the one before, and for at most
     bit_length(S) rounds, each a gather and a multiply-add per letter and
-    one sort of S values.  On random Syn-DFA tables
-    Moore's classes grow geometrically until the last few rounds, and the
-    start ends with nearly all of them; the Cerny tables gain one class a
-    round, and the start stops after the second.
+    one sort of S values.  On random Syn-DFA tables Moore's classes grow
+    geometrically until the last few rounds, and the start ends with nearly
+    all of them; the Cerny tables gain one class a round, and the start
+    stops after the second.
 
     The key is the last hash shifted left past the compact initial label,
     which fills its low bits: a hash collision between initial classes
@@ -329,10 +329,10 @@ def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarra
         label, k = np.searchsorted(values, init_labels).astype(np.uint32), len(values)
     # the rounds write into buffers made once: fresh arrays the size of a
     # large table cost page faults every round
-    h, out, step = label.astype(np.uint64), np.empty(len(label), np.uint64), np.empty(len(label), np.uint64)
-    low = np.empty(len(label), np.uint32)
+    h = label.astype(np.uint64)
+    out, step, low = np.empty_like(h), np.empty_like(h), np.empty(len(h), np.uint32)
     classes, added = k, 0
-    for rounds in range(1, len(label).bit_length() + 1):
+    for rounds in range(1, len(h).bit_length() + 1):
         _hash_round(trans, label, h, out, step)
         h, out = out, h
         np.copyto(low, h, casting="unsafe")
