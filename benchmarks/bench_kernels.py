@@ -31,8 +31,9 @@ runs: the catalog groups of degree 5-8 and the subgroups of S4.
 
 Prints the best of R runs of each kernel, in microseconds.  Every kernel
 is run again until its runs add up to MIN_TOTAL_S, so a short one is
-timed over many runs.  Row labels hold no sizes of the tables a tree
-builds, since they can differ between two trees.
+timed over many runs; with --against, until the runs of the slower tree
+do, both trees running as often.  Row labels hold no sizes of the tables
+a tree builds, since they can differ between two trees.
 
 With --against PATH, the syncprim of a second checkout at PATH is loaded
 into the same process under another package name, and every row is timed
@@ -74,11 +75,12 @@ def load_tree(root: str, name: str):
 def best(funcs, repeat: int) -> list[float]:
     """The best time of each function, over at least repeat runs.  The
     functions run in turn, the first of them alternating, until each has
-    repeat runs and the runs of each add up to MIN_TOTAL_S."""
+    repeat runs and the runs of the slowest add up to MIN_TOTAL_S: a row
+    whose kernel one tree lacks takes next to no time there."""
     for func in funcs:
         func()  # warm-up
     times = [[] for _ in funcs]
-    while len(times[0]) < repeat or min(map(sum, times)) < MIN_TOTAL_S:
+    while len(times[0]) < repeat or max(map(sum, times)) < MIN_TOTAL_S:
         order = list(range(len(funcs)))
         if len(times[0]) % 2:
             order.reverse()
@@ -130,8 +132,6 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
         trans, init = refined_table(all_2subsets_distinguishable, group_plus_112(group, n))
         label = f"moore_refine, {name} + 1 1 2 ... collapse"
         rows.append((label, lambda trans=trans, init=init: _kernels.moore_refine(trans, init)))
-    # a tree without the hashed start times nothing for it, and its rounds
-    # from the initial labels
     hashed_start = getattr(_kernels, "_hashed_start", None)
 
     def refinement_rows(label, trans, init):

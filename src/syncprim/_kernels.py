@@ -31,8 +31,8 @@ syn-dfa path are the rounds' key sort, where a radix order measured no
 faster, the hashed rounds' sort of 32-bit hashes, which counts their
 classes, and two small ones: a batch's first-occurrence positions, and
 np.unique of the start's keys once per call.
-benchmarks/bench_kernels.py times the kernels, both walk forms and both
-refinement paths.
+benchmarks/bench_kernels.py times the kernels, both walk forms, the
+hashed start and both refinement paths.
 """
 
 from __future__ import annotations
@@ -226,17 +226,21 @@ def pair_merge_table(letters, n):
     return np.array(good, bool)
 
 
-# Tables with at least this many rows are refined by _refine_rounds, smaller
-# ones by _refine_loop.  A round of _refine_rounds costs a fixed few dozen
-# numpy calls per letter, so it wins where the loop's per-preimage Python
-# work outweighs that.  Measured crossovers: about 1 000 rows on the Syn-DFA
-# tables of random automata and the cardinality tables of condition 5,
-# about 2 000 on the Syn-DFA and collapse tables of S_n plus an idempotent,
-# 4 000 on those of D_n (D12 plus 1 1 2 ..., 4 095 rows: 8.4 ms on the
-# rounds against 8.6 ms in the loop) and 8 000 on the Cerny automaton,
-# which refines in about n^2 small rounds (Cerny 12, 4 095 rows: 11.0
-# against 6.4 ms; Cerny 13, 8 191 rows: 15.0 against 14.0 ms; Cerny 14:
-# 21.5 against 33.1 ms; best of 5 on a 2-vCPU Xeon VM).
+# Tables with at least this many rows get the hashed start and
+# _refine_rounds, smaller ones _refine_loop.  A round of _refine_rounds costs
+# a fixed few dozen numpy calls per letter, so it wins where the loop's
+# per-preimage Python work outweighs that, and the hashed start moves that
+# point down where Moore's classes grow geometrically.  Measured crossovers,
+# loop against start and rounds (one run, best of 5, on a 2-vCPU Xeon VM):
+# below 1 000 rows on the Syn-DFA tables of random automata (968 rows: 1.8
+# against 0.5 ms) and the cardinality tables of condition 5 (S10 plus
+# 1 1 2 ..., 1 023 rows: 3.6 against 1.8 ms); about 2 000 on the Syn-DFA
+# tables of S_n plus an idempotent (S11, 2 047 rows: 6.3 against 7.8 ms;
+# S12: 13.0 against 9.5 ms); 4 000 on those of D_n and on condition 4's
+# (D12 plus 1 1 2 ..., 4 095 rows: 14.9 against 15.3 ms and 8.5 against
+# 8.9 ms); 8 000 on the Cerny automaton, which refines in about n^2 small
+# rounds and gets no start (Cerny 12, 4 095 rows: 11.8 against 22.9 ms;
+# Cerny 13: 25.9 against 28.8 ms; Cerny 14: 58.3 against 37.4 ms).
 ROUNDS_MIN_ROWS = 2048
 
 
