@@ -1,7 +1,10 @@
 """Benchmark the hot kernels on two automata: the Černý automaton and
 the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
 On each, the power-set walk (subset_reach) runs as dispatched and in
-both of its forms, and the reset word (reset_word_bfs) is timed.  Their
+both of its forms.  Two rows time the reset word: `syn-dfa`'s two calls,
+minimal_syn_dfa and then shortest_reset_word, which reads its word off the
+walk the first call made, and shortest_reset_word alone, which walks on
+its own.  Their
 Syn-DFA tables, and condition 5's table of D13 plus the map 1 1 2 ...
 (every nonempty subset, labelled by its size), are refined by
 moore_refine and by its parts: the hashed Moore rounds (_hashed_start)
@@ -41,7 +44,9 @@ on both trees, their runs alternating, with the ratio of the two bests.
 Rows time differently from one process to the next, so only rows timed
 side by side in one process compare two trees.  A tree without the hashed
 start times nothing in its _hashed_start rows, and its rounds from the
-initial labels in the rows of the rounds from the start.
+initial labels in the rows of the rounds from the start.  A tree whose
+shortest_reset_word always walks on its own walks twice in the syn-dfa
+rows.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--degree N] [--repeat R] [--against PATH]
 """
@@ -152,11 +157,13 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
             (f"subset_reach, {name}", "subset_reach"),
             ("  _reach_batched", "_reach_batched"),
             ("  _reach_loop", "_reach_loop"),
-            (f"reset_word_bfs, {name}", "reset_word_bfs"),
         ]
         for label, func in walks:
             walk = getattr(_kernels, func)
             rows.append((label, lambda walk=walk, B_letters=B_letters, n=n: walk(B_letters, n)))
+        shortest_reset_word = am.shortest_reset_word
+        rows.append((f"syn-dfa calls, {name}", lambda B=B: (minimal_syn_dfa(B), shortest_reset_word(B))))
+        rows.append((f"shortest_reset_word alone, {name}", lambda B=B: shortest_reset_word(B)))
         refinement_rows(f"{name} Syn-DFA", *refined_table(minimal_syn_dfa, B))
     D13 = group_plus_112(catalog.dihedral, 13)
     condition_5 = refined_table(am.different_cardinality_reachable_witness, D13)

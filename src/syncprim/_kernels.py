@@ -4,13 +4,14 @@ and partition refinement, in plain Python and numpy.
 image_table is the one place that knows how a letter acts on a subset
 bitmask: it tabulates every letter's image of every mask, so the
 breadth-first walk over the power set (subset_reach) is a table lookup
-per transition, and the reset-word search (reset_word_bfs) reads its
-answer, a list of letters or None, off that walk.  The walk has two
-forms that give the same arrays: a queue loop over lists for small
-tables, and a numpy walk that expands a batch of queued states (up to a
-BFS level) at a time for tables of BATCHED_MIN_MASKS masks or more.
-The reset word always takes the numpy walk and stops at the first batch
-that finds a singleton.
+per transition.  The walk has two forms that give the same arrays: a
+queue loop over lists for small tables, and a numpy walk that expands a
+batch of queued states (up to a BFS level) at a time for tables of
+BATCHED_MIN_MASKS masks or more.  The reset word (reset_word_bfs) is
+read off the walk's arrays, a list of letters or None: each state's
+first occurrence in the transition table names its parent and letter,
+and the walk hands out indices in that order, so one running maximum
+finds them.
 The pair table (pair_merge_table) is a backward BFS from the diagonal over the letters'
 preimage lists; it never builds the power set and returns a symmetric
 bool matrix of the mergeable state pairs.  Partition refinement
@@ -59,7 +60,7 @@ def image_table(letters, n):
     return img
 
 
-# Tables of at least this many masks (2^n) are walked by _walk_batches, in
+# Tables of at least this many masks (2^n) are walked by _reach_batched, in
 # numpy, smaller ones by the queue loop.  A batch costs a fixed dozen numpy
 # calls, about 25 us, so the loop wins on small tables and on deep, narrow
 # walks of few masks per level.  Measured crossovers: about n = 9 on random
@@ -69,7 +70,7 @@ def image_table(letters, n):
 # automaton at n = 11 and 12 walks 1.2 to 2.2 times slower than in the loop.
 BATCHED_MIN_MASKS = 1 << 11
 
-# The most states one batch of _walk_batches expands.  It bounds the batch's
+# The most states one batch of _reach_batched expands.  It bounds the batch's
 # temporaries, up to about 40 bytes per transition, where one level of a
 # broad walk near SUBSET_CAP would need hundreds of MB; at n = 16 it costs
 # no measurable time.
@@ -89,31 +90,33 @@ def subset_reach(letters, n):
     return reach(letters, n)
 
 
-def reset_word_bfs(letters, n):
-    """Shortest word collapsing the full set to a singleton.
+def reset_word_bfs(states, trans):
+    """Shortest word collapsing the full set to a singleton, read off
+    subset_reach's arrays.
 
-    Read off _walk_batches, at every table size, up to the first batch
-    that finds a singleton: the goal is the first singleton state, and a
-    state's parent is its first occurrence in the row-major transition
-    table (parent, then letter).  So the word is the lexicographically
-    smallest among the minimum-length ones.  Returns the letters as a list,
-    or None, after the whole walk, when not synchronizing.
+    The goal is the first singleton in BFS order, and a state's parent is
+    its first occurrence in trans.ravel() (parent, then letter), so the
+    word is the lexicographically smallest among the minimum-length ones.
+    The walk hands out indices in order of first occurrence, so the first
+    occurrence of index t is where the running maximum of trans.ravel()
+    reaches t: one running maximum up to the goal's row, then a binary
+    search per letter of the word.  Returns the letters as a list, or None
+    when no singleton is reachable.
     """
-    L = len(letters)
-    firsts = []
-    for states, _, first in _walk_batches(letters, n):
-        firsts.append(first)
-        start = len(states) - len(first)
-        new = states[start:]
-        single = np.flatnonzero((new & (new - 1)) == 0)
-        if len(single):
-            pos = np.concatenate(firsts)
-            t, word = start + int(single[0]), []
-            while t:
-                t, letter = divmod(int(pos[t]), L)
-                word.append(letter)
-            return word[::-1]
-    return None
+    single = states - 1
+    single &= states
+    goal = int(np.argmin(single))
+    if single[goal]:
+        return None
+    del single
+    L = trans.shape[1]
+    reached = np.maximum.accumulate(trans.ravel()[: goal * L])
+    index = reached.dtype.type  # a Python int would cost a cast per search
+    word = []
+    while goal:
+        goal, letter = divmod(int(reached.searchsorted(index(goal))), L)
+        word.append(letter)
+    return word[::-1]
 
 
 def _reach_loop(letters, n):
@@ -137,52 +140,6 @@ def _reach_loop(letters, n):
     return np.array(states, np.int64), np.array(trans, np.int32).reshape(-1, L)
 
 
-def _walk_batches(letters, n):
-    """subset_reach's BFS in numpy, a batch of queued states at a time.
-
-    The queue loop gives each mask it has not seen a new index when it
-    first meets it, parent by parent, letter by letter.  A batch takes up
-    to WALK_BATCH states from the head of the queue, gathers their
-    successors parent-major, letter-minor, and indexes the unseen masks in
-    order of first occurrence, which is the order the loop would give them.
-    While a level holds at most WALK_BATCH states, a batch is a whole BFS
-    level.  The masks and transitions go into buffers sized for all 2^n
-    masks; only the written part of them is touched.
-
-    Yields, per batch, (states, trans, first): the masks indexed so far,
-    the transition rows filled so far, and for each mask the batch found,
-    its first position in trans.ravel(), which names its parent and letter.
-    The first yield is the full set alone, with first = [-1]; after the
-    last one, which finds nothing, trans is complete.
-    """
-    L = len(letters)
-    img_t = image_table(letters, n).T  # (2^n, L): gathering a batch is one take
-    full = (1 << n) - 1
-    index = np.full(1 << n, -1, np.int32)
-    states = np.empty(1 << n, np.int64)
-    trans = np.empty((1 << n, L), np.int32)
-    index[full] = 0
-    states[0] = full
-    yield states[:1], trans[:0], np.array([-1], np.int64)
-    lo, count = 0, 1
-    while lo < count:
-        hi = min(count, lo + WALK_BATCH)
-        succ = img_t[states[lo:hi]].ravel()
-        rows = trans[lo:hi].reshape(-1)
-        np.take(index, succ, out=rows)
-        fresh = np.flatnonzero(rows < 0)
-        found = succ[fresh]
-        order = _stable_order(found, n)
-        first = np.sort(order[_runs(found[order])[0]])  # positions in found
-        masks, first = found[first], fresh[first] + lo * L
-        stop = count + len(masks)
-        states[count:stop] = masks
-        index[masks] = np.arange(count, stop, dtype=np.int32)
-        rows[fresh] = index[found]
-        yield states[:stop], trans[:hi], first
-        lo, count = hi, stop
-
-
 def _stable_order(keys: np.ndarray, bits: int) -> np.ndarray:
     """np.argsort(keys, kind="stable") for non-negative integer keys below
     2^bits.  Up to 16 bits the keys are cast to uint16, whose stable sort
@@ -196,10 +153,43 @@ def _stable_order(keys: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _reach_batched(letters, n):
-    """subset_reach from _walk_batches: the fast path for large tables."""
-    for states, trans, _ in _walk_batches(letters, n):
-        pass
-    return states, trans
+    """subset_reach's BFS in numpy, a batch of queued states at a time: the
+    fast path for large tables.
+
+    The queue loop gives each mask it has not seen a new index when it
+    first meets it, parent by parent, letter by letter.  A batch takes up
+    to WALK_BATCH states from the head of the queue, gathers their
+    successors parent-major, letter-minor, and indexes the unseen masks in
+    order of first occurrence, which is the order the loop would give them.
+    While a level holds at most WALK_BATCH states, a batch is a whole BFS
+    level.  The masks and transitions go into buffers sized for all 2^n
+    masks; only the written part of them is touched, and the arrays
+    returned are views of it.
+    """
+    L = len(letters)
+    img_t = image_table(letters, n).T  # (2^n, L): gathering a batch is one take
+    full = (1 << n) - 1
+    index = np.full(1 << n, -1, np.int32)
+    states = np.empty(1 << n, np.int64)
+    trans = np.empty((1 << n, L), np.int32)
+    index[full] = 0
+    states[0] = full
+    lo, count = 0, 1
+    while lo < count:
+        hi = min(count, lo + WALK_BATCH)
+        succ = img_t[states[lo:hi]].ravel()
+        rows = trans[lo:hi].reshape(-1)
+        np.take(index, succ, out=rows)
+        fresh = np.flatnonzero(rows < 0)
+        found = succ[fresh]
+        order = _stable_order(found, n)
+        masks = found[np.sort(order[_runs(found[order])[0]])]  # first occurrences
+        stop = count + len(masks)
+        states[count:stop] = masks
+        index[masks] = np.arange(count, stop, dtype=np.int32)
+        rows[fresh] = index[found]
+        lo, count = hi, stop
+    return states[:count], trans[:count]
 
 
 def pair_merge_table(letters, n):

@@ -87,11 +87,29 @@ def is_synchronizing_pairs(A: SemiAutomaton) -> bool:
     return bool(pair_merge_table(A.letter_array(), A.degree).all())
 
 
+# The last power-set walk minimal_syn_dfa made, as (A, states, trans), for
+# the shortest_reset_word call that follows it on an equal automaton, as in
+# `syncprim syn-dfa`.  Either function clears it before it walks, so at most
+# one walk is alive, and shortest_reset_word takes it, so a walk is read at
+# most once.
+_last_walk = None
+
+
 def shortest_reset_word(A: SemiAutomaton) -> Optional[list[int]]:
     """A minimum-length synchronizing word, lexicographically smallest
-    among the minimal ones; None when the automaton is not synchronizing."""
+    among the minimal ones; None when the automaton is not synchronizing.
+
+    Read off the power-set walk: the one minimal_syn_dfa just made when it
+    was called last, on an equal automaton, else a walk of its own."""
+    global _last_walk
     _check_subset_cap(A)
-    return reset_word_bfs(A.letter_array(), A.degree)
+    walk, _last_walk = _last_walk, None
+    if walk is not None and walk[0] == A:
+        states, trans = walk[1:]
+    else:
+        del walk
+        states, trans = subset_reach(A.letter_array(), A.degree)
+    return reset_word_bfs(states, trans)
 
 
 def minimal_syn_dfa(A: SemiAutomaton) -> DfaSummary:
@@ -102,10 +120,13 @@ def minimal_syn_dfa(A: SemiAutomaton) -> DfaSummary:
     singletons, so the reachable singletons stay one class: the one
     accepting state of the 2^n - n bound, with no table merged.  When the
     language is empty every state is equivalent and the count is 1 (the
-    dead sink).
+    dead sink).  The walk stays in _last_walk for shortest_reset_word.
     """
+    global _last_walk
     _check_subset_cap(A)
+    _last_walk = None
     states, trans = subset_reach(A.letter_array(), A.degree)
+    _last_walk = A, states, trans
     single = (states & (states - 1)) == 0
     labels = moore_refine(trans, single)
     return DfaSummary(int(labels.max()) + 1, int(single.any()))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import deque
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncprim import _kernels, automaton as am, catalog, group as gr, harness, perm
+from syncprim import _kernels, automaton as am, catalog, cli, group as gr, harness, perm
 from syncprim.automaton import SemiAutomaton
 from syncprim.perm import Transformation
 from syncprim.rng import SplitMix64
@@ -457,7 +458,7 @@ WALK_FORMS = pytest.mark.parametrize(
 class TestWalkForms:
     """Both forms of the power-set walk on their own, since subset_reach
     sends tables below BATCHED_MIN_MASKS masks to the loop, the dispatch
-    between them, and the reset word, which stops the numpy walk early."""
+    between them, and the reset word read off each form's arrays."""
 
     @WALK_FORMS
     @settings(max_examples=300, deadline=None)
@@ -473,9 +474,9 @@ class TestWalkForms:
         # not the smallest mask, {0}, which [1, 0] reaches.
         A = SemiAutomaton(4, (t(1, 1, 0, 0), t(2, 2, 3, 3)))
         letters = A.letter_array()
-        states, _ = reach(letters, 4)
+        states, trans = reach(letters, 4)
         assert states[3:7].tolist() == [0b0010, 0b0100, 0b0001, 0b1000]
-        assert _kernels.reset_word_bfs(letters, 4) == reset_word_oracle(letters, 4) == [0, 0]
+        assert _kernels.reset_word_bfs(states, trans) == reset_word_oracle(letters, 4) == [0, 0]
 
     @pytest.mark.parametrize("batch", [1, 2, 3, 5])
     def test_any_batch_size_gives_the_queue_order(self, batch, monkeypatch):
@@ -486,10 +487,11 @@ class TestWalkForms:
         cases += [harness.random_automaton(rng, 8, letters) for letters in (1, 2, 3, 3)]
         for A in cases:
             letters = A.letter_array()
-            assert_same_arrays(
-                _kernels._reach_batched(letters, A.degree), _kernels._reach_loop(letters, A.degree)
-            )
-            assert _kernels.reset_word_bfs(letters, A.degree) == reset_word_oracle(letters, A.degree)
+            batched = _kernels._reach_batched(letters, A.degree)
+            loop = _kernels._reach_loop(letters, A.degree)
+            assert_same_arrays(batched, loop)
+            word = reset_word_oracle(letters, A.degree)
+            assert _kernels.reset_word_bfs(*batched) == _kernels.reset_word_bfs(*loop) == word
 
     @pytest.mark.parametrize(
         "A, size, length",
@@ -509,8 +511,9 @@ class TestWalkForms:
         states, trans = _kernels._reach_loop(letters, n)
         word = reset_word_oracle(letters, n)
         assert len(states) == size and (word if word is None else len(word)) == length
-        assert_same_arrays(_kernels._reach_batched(letters, n), (states, trans))
-        assert _kernels.reset_word_bfs(letters, n) == word
+        batched = _kernels._reach_batched(letters, n)
+        assert_same_arrays(batched, (states, trans))
+        assert _kernels.reset_word_bfs(*batched) == _kernels.reset_word_bfs(states, trans) == word
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
     def test_dispatch_at_the_threshold(self, offset, monkeypatch):
@@ -525,6 +528,68 @@ class TestWalkForms:
         states, _ = _kernels.subset_reach(am.cerny_automaton(n).letter_array(), n)
         assert called == ["_reach_loop" if offset < 0 else "_reach_batched"]
         assert len(states) == (1 << n) - 1
+
+
+class TestOneWalk:
+    """shortest_reset_word reads its word off the walk minimal_syn_dfa made
+    on an equal automaton, once; any other call walks on its own."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        # the degree of every walk subset_reach makes, from an empty slot
+        monkeypatch.setattr(am, "_last_walk", None)
+        degrees = []
+
+        def spy(letters, n, walk=am.subset_reach):
+            degrees.append(n)
+            return walk(letters, n)
+
+        monkeypatch.setattr(am, "subset_reach", spy)
+        return degrees
+
+    def test_syn_dfa_calls_walk_once(self, walks):
+        A = am.cerny_automaton(6)
+        assert am.minimal_syn_dfa(A).state_count == 2 ** 6 - 6
+        # an equal automaton, not the same object, finds the walk
+        assert am.shortest_reset_word(am.cerny_automaton(6)) == reset_word_oracle(A.letter_array(), 6)
+        assert walks == [6] and am._last_walk is None
+
+    def test_syn_dfa_command_walks_once(self, walks, capsys, tmp_path):
+        A = am.cerny_automaton(7)
+        path = tmp_path / "cerny7.aut"
+        path.write_text("degree 7\n" + "".join(perm.format_image(f) + "\n" for f in A.letters))
+        assert cli.main(["syn-dfa", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["reset_word"] == am.word_to_str(reset_word_oracle(A.letter_array(), 7))
+        assert walks == [7] and am._last_walk is None
+
+    def test_another_automaton_of_the_same_degree_walks_its_own(self, walks):
+        A = am.cerny_automaton(6)
+        B = SemiAutomaton(6, A.letters[::-1])
+        am.minimal_syn_dfa(A)
+        word = am.shortest_reset_word(B)
+        assert word == reset_word_oracle(B.letter_array(), 6) != reset_word_oracle(A.letter_array(), 6)
+        assert walks == [6, 6] and am._last_walk is None
+
+    def test_a_walk_is_read_once(self, walks):
+        A = am.cerny_automaton(6)
+        am.minimal_syn_dfa(A)
+        word = am.shortest_reset_word(A)
+        assert am.shortest_reset_word(A) == word == reset_word_oracle(A.letter_array(), 6)
+        assert walks == [6, 6]
+
+    def test_not_synchronizing_through_the_walk(self, walks):
+        A = nth_random_automaton(SplitMix64(2021), 16, 3, 6)
+        am.minimal_syn_dfa(A)
+        assert am.shortest_reset_word(A) is None
+        assert walks == [16]
+
+    def test_degree_cap(self, walks):
+        A = SemiAutomaton(25, (perm.identity(25),))
+        for func in (am.minimal_syn_dfa, am.shortest_reset_word):
+            with pytest.raises(am.DegreeCapError):
+                func(A)
+        assert walks == []
 
 
 class TestStableOrder:
