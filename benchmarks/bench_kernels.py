@@ -103,6 +103,7 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
         for name in ("_kernels", "catalog", "classify", "automaton", "harness", "perm", "rng")
     )
     all_2subsets_distinguishable, minimal_syn_dfa = am.all_2subsets_distinguishable, am.minimal_syn_dfa
+    shortest_reset_word = am.shortest_reset_word
     build_group_automaton, cerny_automaton = am.build_group_automaton, am.cerny_automaton
     DEGREE_CAP, Transformation = perm.DEGREE_CAP, perm.Transformation
 
@@ -161,7 +162,6 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
         for label, func in walks:
             walk = getattr(_kernels, func)
             rows.append((label, lambda walk=walk, B_letters=B_letters, n=n: walk(B_letters, n)))
-        shortest_reset_word = am.shortest_reset_word
         rows.append((f"syn-dfa calls, {name}", lambda B=B: (minimal_syn_dfa(B), shortest_reset_word(B))))
         rows.append((f"shortest_reset_word alone, {name}", lambda B=B: shortest_reset_word(B)))
         refinement_rows(f"{name} Syn-DFA", *refined_table(minimal_syn_dfa, B))

@@ -103,12 +103,12 @@ def reset_word_bfs(states, trans):
     search per letter of the word.  Returns the letters as a list, or None
     when no singleton is reachable.
     """
-    single = states - 1
-    single &= states
-    goal = int(np.argmin(single))
-    if single[goal]:
+    rest = states - 1
+    rest &= states  # each mask less its lowest point: zero for a singleton
+    goal = int(rest.argmin())
+    if rest[goal]:
         return None
-    del single
+    del rest
     L = trans.shape[1]
     reached = np.maximum.accumulate(trans.ravel()[: goal * L])
     index = reached.dtype.type  # a Python int would cost a cast per search

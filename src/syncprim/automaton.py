@@ -62,18 +62,30 @@ def build_group_automaton(G: GroupSpec, f: Transformation) -> SemiAutomaton:
     return SemiAutomaton(G.degree, G.generators + (f,))
 
 
-def _check_subset_cap(A: SemiAutomaton):
+# The last power-set walk minimal_syn_dfa made, as (A, states, trans), for
+# the shortest_reset_word call that follows it on an equal automaton, as in
+# `syncprim syn-dfa`.  shortest_reset_word takes it, so a walk is read at
+# most once.
+_last_walk = None
+
+
+def _start_power_set(A: SemiAutomaton):
+    """The start of every construction on the power set of A: it raises past
+    the power-set cap, and it drops the walk in _last_walk, so that no
+    construction runs beside a walk that nothing will read."""
+    global _last_walk
     if A.degree > SUBSET_CAP:
         raise DegreeCapError(
             f"degree {A.degree} exceeds power-set cap {SUBSET_CAP}"
         )
+    _last_walk = None
 
 
 def build_subset_automaton(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray]:
     """The reachable part of the power automaton, as subset_reach gives it:
     the masks in BFS order, full set first, as int64, and the (S, L) int32
     successor indices.  Subject to the power-set cap."""
-    _check_subset_cap(A)
+    _start_power_set(A)
     return subset_reach(A.letter_array(), A.degree)
 
 
@@ -87,23 +99,15 @@ def is_synchronizing_pairs(A: SemiAutomaton) -> bool:
     return bool(pair_merge_table(A.letter_array(), A.degree).all())
 
 
-# The last power-set walk minimal_syn_dfa made, as (A, states, trans), for
-# the shortest_reset_word call that follows it on an equal automaton, as in
-# `syncprim syn-dfa`.  Either function clears it before it walks, so at most
-# one walk is alive, and shortest_reset_word takes it, so a walk is read at
-# most once.
-_last_walk = None
-
-
 def shortest_reset_word(A: SemiAutomaton) -> Optional[list[int]]:
     """A minimum-length synchronizing word, lexicographically smallest
     among the minimal ones; None when the automaton is not synchronizing.
 
-    Read off the power-set walk: the one minimal_syn_dfa just made when it
-    was called last, on an equal automaton, else a walk of its own."""
-    global _last_walk
-    _check_subset_cap(A)
-    walk, _last_walk = _last_walk, None
+    Read off the power-set walk: the one minimal_syn_dfa made, when it was
+    the last power-set construction and on an equal automaton, else a walk
+    of its own."""
+    walk = _last_walk
+    _start_power_set(A)
     if walk is not None and walk[0] == A:
         states, trans = walk[1:]
     else:
@@ -123,8 +127,7 @@ def minimal_syn_dfa(A: SemiAutomaton) -> DfaSummary:
     dead sink).  The walk stays in _last_walk for shortest_reset_word.
     """
     global _last_walk
-    _check_subset_cap(A)
-    _last_walk = None
+    _start_power_set(A)
     states, trans = subset_reach(A.letter_array(), A.degree)
     _last_walk = A, states, trans
     single = (states & (states - 1)) == 0
@@ -236,7 +239,7 @@ def _first_inseparable(
     """Refine the table of all nonempty subsets from initial(sizes), labels
     computed from the subset sizes, and return _first_repeat over the
     subsets of size >= 2.  Subject to the power-set cap."""
-    _check_subset_cap(A)
+    _start_power_set(A)
     masks = np.arange(1, 1 << A.degree)
     sizes = _popcounts(A.degree)[1:]
     labels = moore_refine(_nonempty_subset_trans(A), initial(sizes))

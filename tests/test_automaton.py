@@ -416,7 +416,10 @@ class TestPowerSetWalk:
         for l, letter in enumerate(A.letters):
             assert img[l].tolist() == [letter.apply_mask(m) for m in range(1 << n)]
         assert_same_arrays(_kernels.subset_reach(letters, n), subset_reach_oracle(letters, n))
-        assert am.shortest_reset_word(A) == reset_word_oracle(letters, n)
+        word = reset_word_oracle(letters, n)
+        assert am.shortest_reset_word(A) == word
+        am.minimal_syn_dfa(A)  # the word read off the walk minimal_syn_dfa leaves
+        assert am.shortest_reset_word(A) == word
         if n >= 3:
             # condition 4's table, read off the image table and refined from
             # "is a singleton", against the mask-by-mask collapse DFA
@@ -532,7 +535,8 @@ class TestWalkForms:
 
 class TestOneWalk:
     """shortest_reset_word reads its word off the walk minimal_syn_dfa made
-    on an equal automaton, once; any other call walks on its own."""
+    on an equal automaton, once, when no other power-set construction came
+    between; any other call walks on its own."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -576,6 +580,15 @@ class TestOneWalk:
         am.minimal_syn_dfa(A)
         word = am.shortest_reset_word(A)
         assert am.shortest_reset_word(A) == word == reset_word_oracle(A.letter_array(), 6)
+        assert walks == [6, 6]
+
+    def test_another_power_set_construction_drops_the_walk(self, walks):
+        # condition 4 refines all nonempty subsets beside no unread walk
+        A = am.cerny_automaton(6)
+        am.minimal_syn_dfa(A)
+        am.all_nonsingleton_distinguishable_witness(A)
+        assert am._last_walk is None
+        assert am.shortest_reset_word(A) == reset_word_oracle(A.letter_array(), 6)
         assert walks == [6, 6]
 
     def test_not_synchronizing_through_the_walk(self, walks):
