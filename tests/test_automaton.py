@@ -592,7 +592,7 @@ class TestOneWalk:
         assert walks == [6, 6]
 
     def test_not_synchronizing_through_the_walk(self, walks):
-        A = nth_random_automaton(SplitMix64(2021), 16, 3, 6)
+        A = nth_random_automaton(SplitMix64(2021), 16, 3, 6)  # random_16_5 of RANDOM_16_WALKS
         am.minimal_syn_dfa(A)
         assert am.shortest_reset_word(A) is None
         assert walks == [16]
