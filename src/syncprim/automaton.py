@@ -111,7 +111,7 @@ def shortest_reset_word(A: SemiAutomaton) -> Optional[list[int]]:
     if walk is not None and walk[0] == A:
         states, trans = walk[1:]
     else:
-        del walk
+        del walk  # another automaton's walk: freed before this one is made
         states, trans = subset_reach(A.letter_array(), A.degree)
     return reset_word_bfs(states, trans)
 
