@@ -11,6 +11,12 @@ moore_refine and by its parts: the hashed Moore rounds (_hashed_start)
 alone, _refine_rounds from their partition and from the initial labels,
 _refine_loop, and the rounds path's start (_initial_partition: the
 compact initial labels, the block sizes and each letter's preimage CSR).
+On the random table and condition 5's, the finish moore_refine gives a
+start that leaves fewer than half the states live is timed as well:
+_refine_live from the hashed start, its compaction included.  moore_refine
+alone is timed on the Syn-DFA table of A14 plus 1 1 2 ..., whose start runs
+to its round cap yet leaves most states live, so that moore_refine hands
+_refine_rounds the start's compact labels.
 Every refined table is the one the tree's own check hands moore_refine,
 caught by a spy on that call, so two trees that build their tables
 differently are each timed on their own.  _refine_rounds is also timed on
@@ -44,7 +50,8 @@ on both trees, their runs alternating, with the ratio of the two bests.
 Rows time differently from one process to the next, so only rows timed
 side by side in one process compare two trees.  A tree without the hashed
 start times nothing in its _hashed_start rows, and its rounds from the
-initial labels in the rows of the rounds from the start.  A tree whose
+initial labels in the rows of the rounds from the start; a tree without
+_refine_live times nothing in its _refine_live rows.  A tree whose
 shortest_reset_word always walks on its own walks twice in the syn-dfa
 rows.
 
@@ -61,6 +68,7 @@ from pathlib import Path
 RANDOM_SEED = 2021
 RANDOM_DEGREE = 16
 DEEP_DEGREE = 18
+FAR_DEGREE = 14
 MIN_TOTAL_S = 0.2
 
 
@@ -139,13 +147,19 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
         label = f"moore_refine, {name} + 1 1 2 ... collapse"
         rows.append((label, lambda trans=trans, init=init: _kernels.moore_refine(trans, init)))
     hashed_start = getattr(_kernels, "_hashed_start", None)
+    refine_live = getattr(_kernels, "_refine_live", None)
 
-    def refinement_rows(label, trans, init):
+    def refinement_rows(label, trans, init, live=False):
         start = hashed_start(trans, init)[0] if hashed_start else init
         rows.extend([
             (f"moore_refine, {label}", lambda: _kernels.moore_refine(trans, init)),
             ("  _hashed_start", lambda: hashed_start and hashed_start(trans, init)),
             ("  _refine_rounds from the hashed start", lambda: _kernels._refine_rounds(trans, start)),
+        ])
+        if live:
+            finish = lambda: refine_live and refine_live(trans, *_kernels._compact(start))  # noqa: E731
+            rows.append(("  _refine_live from the hashed start", finish))
+        rows.extend([
             ("  _refine_rounds from the initial labels", lambda: _kernels._refine_rounds(trans, init)),
             ("  _refine_loop", lambda: _kernels._refine_loop(trans, init)),
             ("  _initial_partition", lambda: _kernels._initial_partition(trans, init)),
@@ -164,10 +178,13 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
             rows.append((label, lambda walk=walk, B_letters=B_letters, n=n: walk(B_letters, n)))
         rows.append((f"syn-dfa calls, {name}", lambda B=B: (minimal_syn_dfa(B), shortest_reset_word(B))))
         rows.append((f"shortest_reset_word alone, {name}", lambda B=B: shortest_reset_word(B)))
-        refinement_rows(f"{name} Syn-DFA", *refined_table(minimal_syn_dfa, B))
+        refinement_rows(f"{name} Syn-DFA", *refined_table(minimal_syn_dfa, B), live=B is R)
     D13 = group_plus_112(catalog.dihedral, 13)
     condition_5 = refined_table(am.different_cardinality_reachable_witness, D13)
-    refinement_rows("D13 + 1 1 2 ... condition 5", *condition_5)
+    refinement_rows("D13 + 1 1 2 ... condition 5", *condition_5, live=True)
+    trans, init = refined_table(minimal_syn_dfa, group_plus_112(catalog.alternating, FAR_DEGREE))
+    label = f"moore_refine, A{FAR_DEGREE} + 1 1 2 ... Syn-DFA"
+    rows.append((label, lambda trans=trans, init=init: _kernels.moore_refine(trans, init)))
 
     trans, init = refined_table(minimal_syn_dfa, cerny_automaton(DEEP_DEGREE))
     label = f"_refine_rounds, Cerny {DEEP_DEGREE} Syn-DFA"

@@ -15,25 +15,29 @@ finds them.
 The pair table (pair_merge_table) is a backward BFS from the diagonal over the letters'
 preimage lists; it never builds the power set and returns a symmetric
 bool matrix of the mergeable state pairs.  Partition refinement
-(moore_refine) has two paths that give the same partition.  Small
-tables, such as the 2-subset collapse tables of condition 3 and the
-strong scan, go to Hopcroft's algorithm as a Python loop over a flat
-refinable partition in lists, its start included.  Tables of
-ROUNDS_MIN_ROWS rows or more, such as the Syn-DFA tables of the power
-set, first get Moore's rounds on hashes of the states' signatures
-(_hashed_start) while each round adds more classes than the one before,
-and then Hopcroft's algorithm in numpy, which keeps only a block label
-per state and a size per block and splits on a whole worklist per round.
+(moore_refine) has paths that give the same partition.  Small tables,
+such as the 2-subset collapse tables of condition 3 and the strong scan,
+go to Hopcroft's algorithm as a Python loop over a flat refinable
+partition in lists, its start included.  Tables of ROUNDS_MIN_ROWS rows
+or more, such as the Syn-DFA tables of the power set, first get Moore's
+rounds on hashes of the states' signatures (_hashed_start) while each
+round adds more classes than the one before.  Where that start leaves
+fewer than half the states in blocks of two or more, as on random
+automata, exact Moore rounds over those states alone finish it
+(_refine_live); elsewhere Hopcroft's algorithm in numpy does, which keeps
+only a block label per state and a size per block and splits on a whole
+worklist per round.
 The walk's first-occurrence order and _initial_partition's preimage CSR
 are stable orders of bounded keys, masks below 2^n and targets below the
 row count (_stable_order): radix orders while the keys fit 16 bits, that
 is up to n = 16 and 65 536 rows.  There the comparison sorts left on the
-syn-dfa path are the rounds' key sort, where a radix order measured no
-faster, the hashed rounds' sort of 32-bit hashes, which counts their
-classes, and two small ones: a batch's first-occurrence positions, and
-np.unique of the start's keys once per call.
+syn-dfa path are the Hopcroft rounds' key sort, where a radix order
+measured no faster, the hashed rounds' sort of 32-bit hashes, which
+counts their classes, one sort of the start's keys per call, the live
+rounds' lexsort of the states still in shared blocks, and a batch's
+first-occurrence positions.
 benchmarks/bench_kernels.py times the kernels, both walk forms, the
-hashed start and both refinement paths.
+hashed start and every refinement path.
 """
 
 from __future__ import annotations
@@ -216,61 +220,85 @@ def pair_merge_table(letters, n):
     return np.array(good, bool)
 
 
-# Tables with at least this many rows get the hashed start and
-# _refine_rounds, smaller ones _refine_loop.  A round of _refine_rounds costs
-# a fixed few dozen numpy calls per letter, so it wins where the loop's
-# per-preimage Python work outweighs that, and the hashed start moves that
-# point down where Moore's classes grow geometrically.  Measured crossovers,
-# loop against start and rounds (one run, best of 5, on a 2-vCPU Xeon VM):
-# below 1 000 rows on the Syn-DFA tables of random automata (968 rows: 1.8
-# against 0.5 ms) and the cardinality tables of condition 5 (S10 plus
-# 1 1 2 ..., 1 023 rows: 3.6 against 1.8 ms); about 2 000 on the Syn-DFA
-# tables of S_n plus an idempotent (S11, 2 047 rows: 6.3 against 7.8 ms;
-# S12: 13.0 against 9.5 ms); 4 000 on those of D_n and on condition 4's
-# (D12 plus 1 1 2 ..., 4 095 rows: 14.9 against 15.3 ms and 8.5 against
-# 8.9 ms); 8 000 on the Cerny automaton, which refines in about n^2 small
-# rounds and gets no start (Cerny 12, 4 095 rows: 11.8 against 22.9 ms;
-# Cerny 13: 25.9 against 28.8 ms; Cerny 14: 58.3 against 37.4 ms).
+# Tables with at least this many rows get the hashed start and its finish
+# (_refine_live or _refine_rounds), smaller ones _refine_loop.  A round of
+# either finish costs a fixed few dozen numpy calls, so it wins where the
+# loop's per-preimage Python work outweighs that, and the hashed start moves
+# that point down where Moore's classes grow geometrically.  Measured
+# crossovers, loop against start and finish (one run, best of 5 or 9, on a
+# 2-vCPU Xeon VM): about 150 rows on the Syn-DFA tables of random automata
+# (n = 8, 163 rows: 0.31 against 0.16 ms; n = 10, 968 rows: 2.85 against
+# 0.47 ms, where the start and _refine_rounds took 0.56 ms) and below 255
+# on the cardinality tables of condition 5 (S8 plus 1 1 2 ..., 255 rows:
+# 0.61 against 0.34 ms; S10, 1 023 rows: 2.7 against 0.6 ms); about 2 000
+# on the Syn-DFA tables of S_n plus an idempotent (S11, 2 047 rows: 6.3
+# against 7.8 ms; S12: 13.0 against 9.5 ms); 4 000 on those of D_n and on
+# condition 4's (D12 plus 1 1 2 ..., 4 095 rows: 14.9 against 15.3 ms and
+# 8.5 against 8.9 ms); 8 000 on the Cerny automaton, which refines in about
+# n^2 small rounds and gets no start (Cerny 12, 4 095 rows: 11.8 against
+# 22.9 ms; Cerny 13: 25.9 against 28.8 ms; Cerny 14: 58.3 against 37.4 ms).
+# The S_n, D_n and Cerny tables stop the start by its second round, so the
+# finish does not move their crossovers, and one threshold for all keeps
+# the loop on the random and condition-5 tables below it.
 ROUNDS_MIN_ROWS = 2048
 
 
 def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     """The coarsest partition of a complete DFA's states that refines
     init_labels and is stable under every letter: hashed Moore rounds while
-    they gain, then Hopcroft's O(m log n) algorithm.
+    they gain, then exact Moore rounds over the states they left in shared
+    blocks, or Hopcroft's O(m log n) algorithm.
 
     trans: (S, L) successor indices; init_labels: (S,) initial class labels.
     Returns one label per state.  Labels are compact ints 0..k-1 and
     deterministic for a given input, but otherwise opaque: callers compare
     them for equality and take their max.
 
-    Tables of ROUNDS_MIN_ROWS rows or more go to _refine_rounds, from the
-    partition of _hashed_start; smaller ones go to _refine_loop, from
-    init_labels.  Both give the same partition.  Most calls come from the
-    per-map checks of classify and search, on tables of a few dozen rows,
-    where the loop's plain-list start keeps the fixed cost per call low.
+    Tables of ROUNDS_MIN_ROWS rows or more get _hashed_start; smaller ones
+    go to _refine_loop, from init_labels.  Every route gives the same
+    partition.  Most calls come from the per-map checks of classify and
+    search, on tables of a few dozen rows, where the loop's plain-list
+    start keeps the fixed cost per call low.
 
-    When the hashed rounds stop by the second, Moore's classes are not
-    growing faster round by round, as on the Cerny tables, which gain one
-    class a round: _refine_rounds then starts from init_labels, since the
-    start's two rounds would not pay for its 64-bit keys, which
-    _refine_rounds would make compact and hold through its rounds.
+    The start's partition refines init_labels, hash collisions included,
+    and is coarser than the coarsest stable partition that refines them,
+    so exact refinement from it reaches that partition.  Where it goes on
+    from there depends on how far the start got:
+    - when the hashed rounds stop by the second, Moore's classes are not
+      growing faster round by round, as on the Cerny tables, which gain one
+      class a round: _refine_rounds starts from init_labels, since the
+      start's two rounds would not pay for its 64-bit keys, which
+      _refine_rounds would hold through its rounds;
+    - otherwise one sort of the keys makes them compact labels and finds
+      the live states, those in blocks of two or more (_compact).  When
+      fewer than half the states are live, as on the random Syn-DFA
+      tables, whose start ends with 92-99.9 % of the final classes,
+      _refine_live finishes with Moore's rounds over the live states alone,
+      since a singleton block never splits;
+    - when half or more are live, as on A_n plus 1 1 2 ..., whose start
+      runs to its round cap with a few hundred classes, _refine_rounds
+      starts from the compact labels, since a sort of most states per
+      round can cost twice Hopcroft's rounds (condition 5's table of C14
+      plus 1 1 2 ...: 32 against 16 ms).
 
     A large table whose init_labels hold one value returns zeros without
-    the start or _refine_rounds, which would build its preimage CSR to
-    split nothing: a complete DFA is stable under the whole state set.
-    Small tables skip the test, which costs the per-map checks more than
-    the loop's start on such a table.
+    the start or the refinement, which would split nothing: a complete DFA
+    is stable under the whole state set.  Small tables skip the test,
+    which costs the per-map checks more than the loop's start on such a
+    table.
     """
     if len(trans) < ROUNDS_MIN_ROWS:
         return _refine_loop(trans, init_labels)
     init_labels = np.asarray(init_labels)
     if (init_labels == init_labels[0]).all():
         return np.zeros(len(init_labels), np.int64)
-    start, rounds = _hashed_start(trans, init_labels)
+    key, rounds = _hashed_start(trans, init_labels)
     if rounds <= 2:
-        start = init_labels
-    return _refine_rounds(trans, start)
+        return _refine_rounds(trans, init_labels)
+    label, live, count = _compact(key)
+    if 2 * len(live) < len(label):
+        return _refine_live(trans, label, live, count)
+    return _refine_rounds(trans, label, compact=True)
 
 
 # C of _hash_round, the multiplier of the initial label (2^64 over the
@@ -301,7 +329,7 @@ def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarra
     over letters a of R_a * h_k(trans[s, a]) (_hash_round).  States with
     equal languages get equal h_k for every k, by induction on k, so the
     start splits no class of the coarsest stable partition; states whose
-    hashes collide share a key, and _refine_rounds splits them.  After
+    hashes collide share a key, and the finish splits them.  After
     each round a sort of the hashes' low 32 bits counts their classes (a
     rare 32-bit collision only moves the stop).  The rounds go on while a
     round adds more classes than the one before, and for at most
@@ -314,7 +342,7 @@ def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarra
     The key is the last hash shifted left past the compact initial label,
     which fills its low bits: a hash collision between initial classes
     merges no states across them, so the start refines init_labels, as
-    _refine_rounds requires.  A bool init_labels is its own compact label.
+    the finish requires.  A bool init_labels is its own compact label.
     """
     if init_labels.dtype == bool:
         label, k = init_labels.view(np.uint8), 2
@@ -341,17 +369,71 @@ def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarra
     return h, rounds
 
 
-def _initial_partition(trans, init_labels):
+def _compact(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The partition of the keys, from one sort: each state's label, the
+    rank of its key among the distinct keys (as np.unique numbers them), as
+    int32; the live states, those whose key some other state shares, in
+    key order; and the number of labels."""
+    order = key.argsort()
+    start, size = _runs(key[order])
+    label = np.empty(len(key), np.int32)
+    label[order] = np.arange(len(start), dtype=np.int32).repeat(size)
+    return label, order[(size > 1).repeat(size)], len(start)
+
+
+def _refine_live(trans: np.ndarray, label: np.ndarray, live: np.ndarray, count: int) -> np.ndarray:
+    """Moore's rounds over the live states only: the finish of a start
+    that left most states in singleton blocks, which never split.
+
+    label: (S,) compact int32 labels 0..count-1, updated in place; live:
+    every state whose block holds another.  Each round lexsorts the live
+    states by (label, each successor's label), all read before the round
+    relabels any state.  In every old block the first key group keeps the
+    block's label and every other group takes a new one, count, count + 1,
+    ... in key order; then the states left alone in their group leave the
+    live set.  The rounds stop when one splits nothing.  A round costs a
+    sort of the live states and no pass over the others.
+
+    From a start between init_labels and the coarsest stable partition that
+    refines them, such as _hashed_start's, Moore's fixpoint is that
+    partition: each round splits only states that some word separates, and
+    the last splits nothing.  Returns the labels, compact, as int64.
+    """
+    while len(live):
+        own = label[live]
+        succ = label[trans[live]]
+        order = np.lexsort((*succ.T, own))
+        live, own, succ = live[order], own[order], succ[order]
+        new_block = own[1:] != own[:-1]
+        new_key = new_block | (succ[1:] != succ[:-1]).any(axis=1)
+        start = np.concatenate(([0], new_key.nonzero()[0] + 1))
+        size = np.diff(start, append=len(live))
+        # a key group that starts inside its block takes a new label
+        is_new = np.concatenate(([False], ~new_block[start[1:] - 1]))
+        n_new = int(is_new.sum())
+        if not n_new:
+            break
+        label[live[is_new.repeat(size)]] = np.arange(count, count + n_new, dtype=np.int32).repeat(size[is_new])
+        count += n_new
+        live = live[(size > 1).repeat(size)]
+    return label.astype(np.int64)
+
+
+def _initial_partition(trans, init_labels, compact=False):
     """The start of _refine_rounds, in numpy.
 
-    Returns the initial labels made compact (block ids 0..k-1), as int32;
+    Returns the initial labels made compact (block ids 0..k-1), as int32,
+    unless compact says they are already, when they are taken as they are;
     the size of every block, one int32 entry per state, since block ids
     run up to S - 1, with zeros past the initial blocks; and per letter the
     preimages in CSR layout, pre[l][off[l][s]:off[l][s + 1]] being the
     states l sends to s.
     """
     trans = np.asarray(trans)
-    labels = np.unique(np.asarray(init_labels), return_inverse=True)[1].reshape(-1).astype(np.int32)
+    if compact:
+        labels = init_labels
+    else:
+        labels = np.unique(np.asarray(init_labels), return_inverse=True)[1].reshape(-1).astype(np.int32)
     S = len(labels)
     sizes = np.bincount(labels, minlength=S).astype(np.int32)
     pre, off = [], []
@@ -471,7 +553,7 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine_rounds(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
+def _refine_rounds(trans: np.ndarray, init_labels: np.ndarray, compact: bool = False) -> np.ndarray:
     """Hopcroft's algorithm with a batched worklist, in numpy: the fast path
     for large tables.
 
@@ -497,8 +579,11 @@ def _refine_rounds(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     an untouched remainder, take the splitter states from one pass over
     block instead.  The work is O(m log n) elements, plus a fixed number
     of numpy calls per round and letter.
+
+    With compact, init_labels are compact int32 block ids already, such as
+    _compact makes of the hashed start, and are refined in place.
     """
-    block, size, pre, off = _initial_partition(trans, init_labels)
+    block, size, pre, off = _initial_partition(trans, init_labels, compact)
     S = len(block)
     if S == 0:
         return block.astype(np.int64)

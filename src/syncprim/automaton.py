@@ -81,6 +81,13 @@ def _start_power_set(A: SemiAutomaton):
     _last_walk = None
 
 
+def drop_walk() -> None:
+    """Free the walk kept in _last_walk, for a caller of minimal_syn_dfa
+    that reads only the state count."""
+    global _last_walk
+    _last_walk = None
+
+
 def build_subset_automaton(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray]:
     """The reachable part of the power automaton, as subset_reach gives it:
     the masks in BFS order, full set first, as int64, and the (S, L) int32

@@ -848,11 +848,37 @@ def refine_from_start(trans, init):
     return _kernels._refine_rounds(trans, _kernels._hashed_start(trans, init)[0])
 
 
+def refine_live_from(trans, key):
+    """_refine_live from the partition of key, its live states those whose
+    key another state shares."""
+    return _kernels._refine_live(np.asarray(trans), *_kernels._compact(key))
+
+
+def refine_live_from_start(trans, init):
+    """_refine_live from the hashed start, however few its rounds and
+    however many states it leaves live."""
+    trans, init = np.asarray(trans), np.asarray(init)
+    return refine_live_from(trans, _kernels._hashed_start(trans, init)[0])
+
+
 REFINE_PATHS = pytest.mark.parametrize(
     "refine",
-    [_kernels._refine_rounds, refine_from_start, _kernels._refine_loop],
-    ids=["rounds", "start", "loop"],
+    [_kernels._refine_rounds, refine_from_start, refine_live_from_start, _kernels._refine_loop],
+    ids=["rounds", "start", "live", "loop"],
 )
+
+
+def spy_on_refinement(monkeypatch):
+    """The calls moore_refine makes to _refine_loop, _refine_rounds and
+    _refine_live, as (name, args, kwargs), the arrays copied before the
+    call, which may refine them in place."""
+    called = []
+    for name in ("_refine_loop", "_refine_rounds", "_refine_live"):
+        def spy(*args, name=name, refine=getattr(_kernels, name), **kwargs):
+            called.append((name, tuple(np.copy(a) if isinstance(a, np.ndarray) else a for a in args), kwargs))
+            return refine(*args, **kwargs)
+        monkeypatch.setattr(_kernels, name, spy)
+    return called
 
 
 class TestRefinementPaths:
@@ -985,18 +1011,15 @@ class TestRefinementPaths:
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
     def test_dispatch_at_the_threshold(self, offset, monkeypatch):
+        # at the threshold the start splits every state of this table apart,
+        # which leaves no live state, and _refine_live finishes at once
         rows = _kernels.ROUNDS_MIN_ROWS + offset
         rng = np.random.default_rng(rows)
         trans = rng.integers(0, rows, (rows, 2)).astype(np.int32)
         init = rng.integers(0, 3, rows)
-        called = []
-        for name in ("_refine_rounds", "_refine_loop"):
-            def spy(trans, init, name=name, refine=getattr(_kernels, name)):
-                called.append(name)
-                return refine(trans, init)
-            monkeypatch.setattr(_kernels, name, spy)
+        called = spy_on_refinement(monkeypatch)
         labels = _kernels.moore_refine(trans, init)
-        assert called == ["_refine_loop" if offset < 0 else "_refine_rounds"]
+        assert [name for name, _, _ in called] == ["_refine_loop" if offset < 0 else "_refine_live"]
         assert partition(labels) == partition(moore_oracle(trans, init))
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
@@ -1007,14 +1030,9 @@ class TestRefinementPaths:
         rng = np.random.default_rng(rows)
         trans = rng.integers(0, rows, (rows, 3)).astype(np.int32)
         init = np.full(rows, 5)
-        called = []
-        for name in ("_refine_rounds", "_refine_loop"):
-            def spy(trans, init, name=name, refine=getattr(_kernels, name)):
-                called.append(name)
-                return refine(trans, init)
-            monkeypatch.setattr(_kernels, name, spy)
+        called = spy_on_refinement(monkeypatch)
         labels = _kernels.moore_refine(trans, init)
-        assert called == (["_refine_loop"] if offset < 0 else [])
+        assert [name for name, _, _ in called] == (["_refine_loop"] if offset < 0 else [])
         assert labels.dtype == np.int64 and labels.tolist() == [0] * rows
 
     def test_start_and_paths_past_16_bits(self):
@@ -1118,7 +1136,17 @@ class TestHashedStart:
         key, _ = _kernels._hashed_start(trans, init)
         assert key.dtype == np.uint64 and partition(key) == partition(init)
         assert partition(_kernels._refine_rounds(trans, key)) == want
+        assert partition(refine_live_from(trans, key)) == want
         assert partition(_kernels.moore_refine(trans, init)) == want
+        # the same start as if it had run to its round cap: most states are
+        # live, and _refine_rounds starts from its compact labels
+        cap = len(trans).bit_length()
+        monkeypatch.setattr(_kernels, "_hashed_start", lambda trans, init: (key, cap))
+        called = spy_on_refinement(monkeypatch)
+        assert partition(_kernels.moore_refine(trans, init)) == want
+        [(name, args, kwargs)] = called
+        assert name == "_refine_rounds" and kwargs == {"compact": True}
+        assert args[1].dtype == np.int32 and partition(args[1]) == partition(init)
 
     # Cerny 3-12 and the eight random n = 16 automata of the benchmark
     @pytest.mark.parametrize(
@@ -1133,29 +1161,84 @@ class TestHashedStart:
         assert self.refines(moore_oracle(trans, init), key) and self.refines(key, init)
 
     @pytest.mark.parametrize(
-        "A, hands_on",
-        [(am.cerny_automaton(n), False) for n in (12, 13)]
-        + [(am.build_group_automaton(catalog.dihedral(12), t(1, 1, *range(2, 12))), False)]
-        + [(nth_random_automaton(SplitMix64(2021), 16, 3, k), True) for k in (1, 2, 3, 4)],
-        ids=["cerny-12", "cerny-13", "D12", "random-16-1", "random-16-2", "random-16-3", "random-16-4"],
+        "A, route",
+        [(am.cerny_automaton(n), "init") for n in (12, 13)]
+        + [(am.build_group_automaton(catalog.dihedral(12), t(1, 1, *range(2, 12))), "init")]
+        + [(nth_random_automaton(SplitMix64(2021), 16, 3, k), "live") for k in (1, 2, 3, 4)]
+        + [(am.build_group_automaton(catalog.alternating(n), t(1, 1, *range(2, n))), "compact") for n in (12, 14)],
+        ids=["cerny-12", "cerny-13", "D12"] + [f"random-16-{k}" for k in (1, 2, 3, 4)] + ["A12", "A14"],
     )
-    def test_moore_refine_hands_on_a_start_of_more_than_two_rounds(self, A, hands_on, monkeypatch):
-        # the Cerny tables gain one class a round, and so does the D12 table
+    def test_moore_refine_hands_on_a_start_of_more_than_two_rounds(self, A, route, monkeypatch):
+        # The Cerny tables gain one class a round, and so does the D12 table
         # in its first two: the start stops after the second, and
-        # _refine_rounds starts from init_labels; the random tables grow
-        # geometrically, and _refine_rounds starts from the key
+        # _refine_rounds starts from init_labels.  The random tables grow
+        # geometrically, and the start leaves fewer than half their states
+        # live: _refine_live finishes it.  A_n plus 1 1 2 ... gains classes
+        # up to the round cap but ends far from the final partition, with
+        # most states live: _refine_rounds starts from the compact start.
         trans, init = self.syn_dfa_table(A)
-        started = []
+        key, rounds = _kernels._hashed_start(trans, init)
+        called = spy_on_refinement(monkeypatch)
+        labels = _kernels.moore_refine(trans, init)
+        [(name, args, kwargs)] = called
+        assert (rounds > 2) == (route != "init")
+        if route == "init":
+            assert name == "_refine_rounds" and not kwargs and args[1].dtype == bool and (args[1] == init).all()
+        elif route == "live":
+            assert name == "_refine_live" and 2 * len(args[2]) < len(trans)
+        else:
+            assert name == "_refine_rounds" and kwargs == {"compact": True}
+            assert args[1].dtype == np.int32 and partition(args[1]) == partition(key)
+        assert partition(labels) == partition(moore_oracle(trans, init))
 
-        def spy(trans, start, refine=_kernels._refine_rounds):
-            started.append(start)
-            return refine(trans, start)
 
-        monkeypatch.setattr(_kernels, "_refine_rounds", spy)
-        _kernels.moore_refine(trans, init)
-        rounds = _kernels._hashed_start(trans, init)[1]
-        assert (rounds > 2) == hands_on
-        assert (started[0] is init) != hands_on
+class TestRefineLive:
+    """_refine_live, the finish of a start that leaves few states live,
+    against the Moore oracle: from the hashed start and from starts whose
+    keys merge some classes of the oracle's partition, paired with the
+    initial label in their low bits, as a colliding hash would."""
+
+    @staticmethod
+    def colliding_key(final, init, merged):
+        # the oracle's classes merged modulo merged, apart by initial label
+        label = np.unique(np.asarray(init), return_inverse=True)[1].reshape(-1)
+        return (final % merged).astype(np.uint64) << np.uint64(16) | label.astype(np.uint64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_complete_dfas_from_colliding_starts(self, data):
+        S = data.draw(st.integers(1, 40), label="states")
+        L = data.draw(st.integers(1, 3), label="letters")
+        K = data.draw(st.integers(1, 4), label="initial labels")
+        merged = data.draw(st.integers(1, 5), label="merged")
+        state = st.integers(0, S - 1)
+        trans = np.array(data.draw(st.lists(st.lists(state, min_size=L, max_size=L), min_size=S, max_size=S)), np.int32)
+        init = np.array(data.draw(st.lists(st.integers(0, K - 1), min_size=S, max_size=S)))
+        key = self.colliding_key(moore_oracle(trans, init), init, merged)
+        TestRefinementPaths.check(lambda trans, init: refine_live_from(trans, key), trans, init)
+
+    # the four random n = 16 tables of the benchmark that reach 2 048 rows,
+    # on which moore_refine takes _refine_live, and condition 5's table of
+    # D13 plus 1 1 2 ... (every nonempty subset, labelled by its size)
+    @pytest.mark.parametrize(
+        "table, A",
+        [("syn-dfa", nth_random_automaton(SplitMix64(2021), 16, 3, k)) for k in (1, 2, 3, 4)]
+        + [("cardinality", am.build_group_automaton(catalog.dihedral(13), t(1, 1, *range(2, 13))))],
+        ids=[f"random-16-{k}" for k in (1, 2, 3, 4)] + ["cardinality-D13"],
+    )
+    def test_large_tables(self, table, A):
+        if table == "syn-dfa":
+            trans, init = TestHashedStart.syn_dfa_table(A)
+        else:
+            trans, init = TestRefinementPaths.cardinality_table(A)
+        final = moore_oracle(trans, init)
+        want = partition(final)
+        starts = [_kernels._hashed_start(trans, init)[0]]
+        starts += [self.colliding_key(final, init, merged) for merged in (1, 2, 7)]
+        for key in starts:
+            labels = refine_live_from(trans, key)
+            assert labels.dtype == np.int64 and partition(labels) == want
+            assert sorted(set(labels.tolist())) == list(range(len(want)))
 
 
 class TestWitnessHelpers:

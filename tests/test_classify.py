@@ -226,6 +226,21 @@ class TestClassify:
         assert preds["sync_maximal"].value is False
         assert preds["sync_maximal"].witness is not None
 
+    def test_keeps_no_walk(self, monkeypatch):
+        # S6 passes the sync-max scan, so its last power-set construction
+        # is a minimal_syn_dfa, whose walk nothing reads
+        monkeypatch.setattr(am, "_last_walk", None)
+        walks = []
+
+        def spy(A, minimal_syn_dfa=am.minimal_syn_dfa):
+            summary = minimal_syn_dfa(A)
+            walks.append(am._last_walk is not None)
+            return summary
+
+        monkeypatch.setattr(am, "minimal_syn_dfa", spy)
+        assert cl.classify(catalog.symmetric(6)).predicates["sync_maximal"].value is True
+        assert walks and all(walks) and am._last_walk is None
+
     def test_degree_1_vacuously_true(self):
         preds = cl.classify(gr.trivial_group(1)).predicates
         for name in ("transitive", "primitive", "sync_maximal", "strongly_sync_maximal"):
