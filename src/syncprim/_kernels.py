@@ -293,9 +293,12 @@ def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     if (init_labels == init_labels[0]).all():
         return np.zeros(len(init_labels), np.int64)
     key, rounds = _hashed_start(trans, init_labels)
+    # the keys take 8 bytes a state: none is kept through the refinement
     if rounds <= 2:
+        del key
         return _refine_rounds(trans, init_labels)
     label, live, count = _compact(key)
+    del key
     if 2 * len(live) < len(label):
         return _refine_live(trans, label, live, count)
     return _refine_rounds(trans, label, compact=True)
