@@ -69,23 +69,23 @@ def build_group_automaton(G: GroupSpec, f: Transformation) -> SemiAutomaton:
 _last_walk = None
 
 
+def drop_walk() -> None:
+    """Free the walk kept in _last_walk: for every construction on the power
+    set before it starts, and for a caller of minimal_syn_dfa that reads
+    only the state count."""
+    global _last_walk
+    _last_walk = None
+
+
 def _start_power_set(A: SemiAutomaton):
     """The start of every construction on the power set of A: it raises past
     the power-set cap, and it drops the walk in _last_walk, so that no
     construction runs beside a walk that nothing will read."""
-    global _last_walk
     if A.degree > SUBSET_CAP:
         raise DegreeCapError(
             f"degree {A.degree} exceeds power-set cap {SUBSET_CAP}"
         )
-    _last_walk = None
-
-
-def drop_walk() -> None:
-    """Free the walk kept in _last_walk, for a caller of minimal_syn_dfa
-    that reads only the state count."""
-    global _last_walk
-    _last_walk = None
+    drop_walk()
 
 
 def build_subset_automaton(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray]:
