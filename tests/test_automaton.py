@@ -883,9 +883,10 @@ def spy_on_refinement(monkeypatch):
 
 class TestRefinementPaths:
     """The refinement paths on their own against the Moore oracle, since
-    moore_refine keeps small tables off the rounds path and hands the
-    rounds path the hashed start only when it took more than two rounds,
-    and the dispatch between them."""
+    moore_refine keeps small tables off the rounds and live paths and
+    hands on the hashed start only when it took more than two rounds, to
+    the live path only when it left fewer than half the states live; and
+    the dispatch between them."""
 
     @staticmethod
     def check(refine, trans, init):
