@@ -9,8 +9,11 @@ Syn-DFA tables, and condition 5's table of D13 plus the map 1 1 2 ...
 (every nonempty subset, labelled by its size), are refined by
 moore_refine and by its parts: the hashed Moore rounds (_hashed_start)
 alone, _refine_rounds from their partition and from the initial labels,
-_refine_loop, and the rounds path's start (_initial_partition: the
-compact initial labels, the block sizes and each letter's preimage CSR).
+_refine_loop, and the rounds path's start (_initial_partition: the block
+sizes and each letter's preimage CSR).  _refine_rounds and
+_initial_partition are handed compact int32 labels, as moore_refine hands
+them, and _refine_rounds a fresh copy per run, since it refines its labels
+in place.
 On the random table and condition 5's, the finish moore_refine gives a
 start that leaves fewer than half the states live is timed as well:
 _refine_live from the hashed start, its compaction included.  moore_refine
@@ -48,12 +51,9 @@ With --against PATH, the syncprim of a second checkout at PATH is loaded
 into the same process under another package name, and every row is timed
 on both trees, their runs alternating, with the ratio of the two bests.
 Rows time differently from one process to the next, so only rows timed
-side by side in one process compare two trees.  A tree without the hashed
-start times nothing in its _hashed_start rows, and its rounds from the
-initial labels in the rows of the rounds from the start; a tree without
-_refine_live times nothing in its _refine_live rows.  A tree whose
-shortest_reset_word always walks on its own walks twice in the syn-dfa
-rows.
+side by side in one process compare two trees.  Both trees must have the
+private kernels the rows call: _hashed_start, _compact, _refine_live,
+_refine_rounds and _initial_partition.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--degree N] [--repeat R] [--against PATH]
 """
@@ -64,6 +64,8 @@ import importlib.util
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 RANDOM_SEED = 2021
 RANDOM_DEGREE = 16
@@ -102,6 +104,12 @@ def best(funcs, repeat: int) -> list[float]:
             funcs[i]()
             times[i].append(time.perf_counter() - start)
     return [min(t) for t in times]
+
+
+def compact(labels):
+    """labels ranked among their sorted distinct values, as np.unique
+    numbers them, as int32: the labels _refine_rounds takes."""
+    return np.unique(labels, return_inverse=True)[1].reshape(-1).astype(np.int32)
 
 
 def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
@@ -146,23 +154,22 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
         trans, init = refined_table(all_2subsets_distinguishable, group_plus_112(group, n))
         label = f"moore_refine, {name} + 1 1 2 ... collapse"
         rows.append((label, lambda trans=trans, init=init: _kernels.moore_refine(trans, init)))
-    hashed_start = getattr(_kernels, "_hashed_start", None)
-    refine_live = getattr(_kernels, "_refine_live", None)
 
     def refinement_rows(label, trans, init, live=False):
-        start = hashed_start(trans, init)[0] if hashed_start else init
+        start = _kernels._hashed_start(trans, init)[0]
+        start_labels, init_labels = _kernels._compact(start)[0], compact(init)
         rows.extend([
             (f"moore_refine, {label}", lambda: _kernels.moore_refine(trans, init)),
-            ("  _hashed_start", lambda: hashed_start and hashed_start(trans, init)),
-            ("  _refine_rounds from the hashed start", lambda: _kernels._refine_rounds(trans, start)),
+            ("  _hashed_start", lambda: _kernels._hashed_start(trans, init)),
+            ("  _refine_rounds from the hashed start", lambda: _kernels._refine_rounds(trans, start_labels.copy())),
         ])
         if live:
-            finish = lambda: refine_live and refine_live(trans, *_kernels._compact(start))  # noqa: E731
+            finish = lambda: _kernels._refine_live(trans, *_kernels._compact(start))  # noqa: E731
             rows.append(("  _refine_live from the hashed start", finish))
         rows.extend([
-            ("  _refine_rounds from the initial labels", lambda: _kernels._refine_rounds(trans, init)),
+            ("  _refine_rounds from the initial labels", lambda: _kernels._refine_rounds(trans, init_labels.copy())),
             ("  _refine_loop", lambda: _kernels._refine_loop(trans, init)),
-            ("  _initial_partition", lambda: _kernels._initial_partition(trans, init)),
+            ("  _initial_partition", lambda: _kernels._initial_partition(trans, init_labels)),
         ])
 
     R = harness.random_automaton(rng.SplitMix64(RANDOM_SEED), RANDOM_DEGREE, 3)
@@ -188,7 +195,7 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
 
     trans, init = refined_table(minimal_syn_dfa, cerny_automaton(DEEP_DEGREE))
     label = f"_refine_rounds, Cerny {DEEP_DEGREE} Syn-DFA"
-    rows.append((label, lambda trans=trans, init=init: _kernels._refine_rounds(trans, init)))
+    rows.append((label, lambda trans=trans, labels=compact(init): _kernels._refine_rounds(trans, labels.copy())))
 
     for name, B in (("S8 + 1 1 2 ...", group_plus_112(catalog.symmetric, 8)), ("Cerny 10", cerny_automaton(10))):
         B_letters, n = B.letter_array(), B.degree
@@ -198,13 +205,10 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
         refine = lambda trans=trans, init=init: _kernels._refine_loop(trans, init)  # noqa: E731
         rows.append((f"_refine_loop, {name} Syn-DFA", refine))
 
-    # a tree whose builders return moves, not a Scan, labels them here
-    scan_of = getattr(cl, "_representatives", lambda scan: scan)
-
     def strong_scans():
         for G in (catalog.symmetric(7), catalog.cyclic(7)):
             for rank in range(2, 7):
-                scan_of(cl._map_family(G, rank))
+                cl._map_family(G, rank)
 
     rows.append(("strong-family orbit labels by rank, S7 and C7", strong_scans))
     entries = [e for e in catalog.builtin_catalog(8) if e.degree >= 5] + catalog.subgroup_census_s4()
@@ -212,7 +216,7 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
 
     def idempotent_scans():
         for G in idempotent_groups:
-            scan_of(cl._idempotent_family(G))
+            cl._idempotent_family(G)
 
     label = f"idempotent scans, catalog 5-8 and S4 census ({len(idempotent_groups)})"
     rows.append((label, idempotent_scans))

@@ -26,16 +26,18 @@ fewer than half the states in blocks of two or more, as on random
 automata, exact Moore rounds over those states alone finish it
 (_refine_live); elsewhere Hopcroft's algorithm in numpy does, which keeps
 only a block label per state and a size per block and splits on a whole
-worklist per round.
+worklist per round.  Its labels are made compact once: the start's own
+initial labels where the start stopped by its second round, its keys
+sorted into labels where it went further.
 The walk's first-occurrence order and _initial_partition's preimage CSR
 are stable orders of bounded keys, masks below 2^n and targets below the
 row count (_stable_order): radix orders while the keys fit 16 bits, that
 is up to n = 16 and 65 536 rows.  There the comparison sorts left on the
 syn-dfa path are the Hopcroft rounds' key sort, where a radix order
 measured no faster, the hashed rounds' sort of 32-bit hashes, which
-counts their classes, one sort of the start's keys per call, the live
-rounds' lexsort of the states still in shared blocks, and a batch's
-first-occurrence positions.
+counts their classes, one sort of the keys of a start that went past
+its second round, the live rounds' lexsort of the states still in shared
+blocks, and a batch's first-occurrence positions.
 benchmarks/bench_kernels.py times the kernels, both walk forms, the
 hashed start and every refinement path.
 """
@@ -266,9 +268,10 @@ def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     from there depends on how far the start got:
     - when the hashed rounds stop by the second, Moore's classes are not
       growing faster round by round, as on the Cerny tables, which gain one
-      class a round: _refine_rounds starts from init_labels, since the
-      start's two rounds would not pay for its 64-bit keys, which
-      _refine_rounds would hold through its rounds;
+      class a round: _refine_rounds starts from the start's compact
+      initial labels, since two rounds do not pay for a sort of the 64-bit
+      keys, which raised the peak RSS of syn-dfa on Cerny 20 from 100 to
+      109 MB;
     - otherwise one sort of the keys makes them compact labels and finds
       the live states, those in blocks of two or more (_compact).  When
       fewer than half the states are live, as on the random Syn-DFA
@@ -292,16 +295,21 @@ def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     init_labels = np.asarray(init_labels)
     if (init_labels == init_labels[0]).all():
         return np.zeros(len(init_labels), np.int64)
-    key, rounds = _hashed_start(trans, init_labels)
-    # the keys take 8 bytes a state: none is kept through the refinement
-    if rounds <= 2:
+    key, rounds, label = _hashed_start(trans, init_labels)
+    # the keys take 8 bytes a state and the start's labels up to 4: neither
+    # is kept through the refinement
+    if rounds > 2:
+        del label
+        label, live, count = _compact(key)
         del key
-        return _refine_rounds(trans, init_labels)
-    label, live, count = _compact(key)
-    del key
-    if 2 * len(live) < len(label):
-        return _refine_live(trans, label, live, count)
-    return _refine_rounds(trans, label, compact=True)
+        if 2 * len(live) < len(label):
+            return _refine_live(trans, label, live, count)
+    else:
+        del key
+        # a copy: a bool init_labels is its own label, and the rounds
+        # refine their labels in place
+        label = label.astype(np.int32)
+    return _refine_rounds(trans, label)
 
 
 # C of _hash_round, the multiplier of the initial label (2^64 over the
@@ -323,10 +331,10 @@ def _hash_round(trans: np.ndarray, label: np.ndarray, h: np.ndarray, out: np.nda
         out += step
 
 
-def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarray, int]:
+def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """Moore's rounds on hashes, from init_labels: a partition between
     init_labels and the coarsest stable one, as one uint64 key per state,
-    and the number of rounds it took.
+    the number of rounds it took, and the compact initial labels.
 
     h_0 is the compact initial label, and h_{k+1}(s) = C * h_0(s) + the sum
     over letters a of R_a * h_k(trans[s, a]) (_hash_round).  States with
@@ -345,7 +353,9 @@ def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarra
     The key is the last hash shifted left past the compact initial label,
     which fills its low bits: a hash collision between initial classes
     merges no states across them, so the start refines init_labels, as
-    the finish requires.  A bool init_labels is its own compact label.
+    the finish requires.  A bool init_labels is its own compact label, a
+    uint8 view of it; other labels are ranked among their sorted distinct
+    values, as np.unique numbers them, as uint32.
     """
     if init_labels.dtype == bool:
         label, k = init_labels.view(np.uint8), 2
@@ -369,7 +379,7 @@ def _hashed_start(trans: np.ndarray, init_labels: np.ndarray) -> tuple[np.ndarra
         added = more
     h <<= np.uint64((k - 1).bit_length())
     h |= label
-    return h, rounds
+    return h, rounds, label
 
 
 def _compact(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -422,21 +432,14 @@ def _refine_live(trans: np.ndarray, label: np.ndarray, live: np.ndarray, count: 
     return label.astype(np.int64)
 
 
-def _initial_partition(trans, init_labels, compact=False):
-    """The start of _refine_rounds, in numpy.
+def _initial_partition(trans, labels):
+    """The start of _refine_rounds, in numpy, from compact labels.
 
-    Returns the initial labels made compact (block ids 0..k-1), as int32,
-    unless compact says they are already, when they are taken as they are;
-    the size of every block, one int32 entry per state, since block ids
-    run up to S - 1, with zeros past the initial blocks; and per letter the
-    preimages in CSR layout, pre[l][off[l][s]:off[l][s + 1]] being the
+    Returns the size of every block, one int32 entry per state, since block
+    ids run up to S - 1, with zeros past the initial blocks; and per letter
+    the preimages in CSR layout, pre[l][off[l][s]:off[l][s + 1]] being the
     states l sends to s.
     """
-    trans = np.asarray(trans)
-    if compact:
-        labels = init_labels
-    else:
-        labels = np.unique(np.asarray(init_labels), return_inverse=True)[1].reshape(-1).astype(np.int32)
     S = len(labels)
     sizes = np.bincount(labels, minlength=S).astype(np.int32)
     pre, off = [], []
@@ -446,7 +449,7 @@ def _initial_partition(trans, init_labels, compact=False):
         offsets = np.zeros(S + 1, np.int32)
         np.cumsum(np.bincount(target, minlength=S), out=offsets[1:])
         off.append(offsets)
-    return labels, sizes, pre, off
+    return sizes, pre, off
 
 
 def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
@@ -556,12 +559,13 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine_rounds(trans: np.ndarray, init_labels: np.ndarray, compact: bool = False) -> np.ndarray:
+def _refine_rounds(trans: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Hopcroft's algorithm with a batched worklist, in numpy: the fast path
     for large tables.
 
-    The partition is block, one label per state, and size, one entry per
-    block id.  Each round takes every worklist block as a splitter, with
+    block: (S,) compact int32 labels 0..k-1, such as moore_refine makes of
+    init_labels or of the hashed start, refined in place.  The partition is
+    block, one label per state, and size, one entry per block id.  Each round takes every worklist block as a splitter, with
     its states fixed at the round start.  Letter by letter, it gathers the
     preimages of all splitter states through the CSR arrays, keys each
     preimage by (its current block, the splitter its successor lies in),
@@ -582,11 +586,8 @@ def _refine_rounds(trans: np.ndarray, init_labels: np.ndarray, compact: bool = F
     an untouched remainder, take the splitter states from one pass over
     block instead.  The work is O(m log n) elements, plus a fixed number
     of numpy calls per round and letter.
-
-    With compact, init_labels are compact int32 block ids already, such as
-    _compact makes of the hashed start, and are refined in place.
     """
-    block, size, pre, off = _initial_partition(trans, init_labels, compact)
+    size, pre, off = _initial_partition(trans, block)
     S = len(block)
     if S == 0:
         return block.astype(np.int64)

@@ -842,10 +842,17 @@ class TestMergedConstructionOracle:
         self.check(nth_random_automaton(SplitMix64(2021), 16, 3, k))
 
 
+def refine_rounds(trans, init):
+    """_refine_rounds from init made compact, ranked among its sorted
+    distinct values as int32, the labels moore_refine hands it."""
+    labels = np.unique(np.asarray(init), return_inverse=True)[1].reshape(-1)
+    return _kernels._refine_rounds(np.asarray(trans), labels.astype(np.int32))
+
+
 def refine_from_start(trans, init):
     """_refine_rounds from the hashed start, however few its rounds."""
     trans, init = np.asarray(trans), np.asarray(init)
-    return _kernels._refine_rounds(trans, _kernels._hashed_start(trans, init)[0])
+    return refine_rounds(trans, _kernels._hashed_start(trans, init)[0])
 
 
 def refine_live_from(trans, key):
@@ -861,9 +868,15 @@ def refine_live_from_start(trans, init):
     return refine_live_from(trans, _kernels._hashed_start(trans, init)[0])
 
 
+def is_compact_int32(labels):
+    """Whether labels are int32 and take every value 0..k-1, the labels
+    _refine_rounds takes."""
+    return labels.dtype == np.int32 and np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+
+
 REFINE_PATHS = pytest.mark.parametrize(
     "refine",
-    [_kernels._refine_rounds, refine_from_start, refine_live_from_start, _kernels._refine_loop],
+    [refine_rounds, refine_from_start, refine_live_from_start, _kernels._refine_loop],
     ids=["rounds", "start", "live", "loop"],
 )
 
@@ -952,7 +965,7 @@ class TestRefinementPaths:
         init = [0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1]
         labels = self.check(refine, trans, init)
         assert partition(labels) == [[0], [1], [2], [3, 7], [4], [5], [6], [8], [9], [10], [11]]
-        if refine is _kernels._refine_rounds:
+        if refine is refine_rounds:
             # the ids follow the rounds' splits: key order, then the worklist
             assert labels.tolist() == [2, 1, 5, 9, 3, 7, 8, 9, 0, 6, 10, 4]
 
@@ -1036,6 +1049,34 @@ class TestRefinementPaths:
         assert [name for name, _, _ in called] == (["_refine_loop"] if offset < 0 else [])
         assert labels.dtype == np.int64 and labels.tolist() == [0] * rows
 
+    @pytest.mark.parametrize(
+        "table, A, route",
+        [
+            ("syn-dfa", am.cerny_automaton(10), ["_refine_loop"]),
+            ("one-label", None, []),
+            ("syn-dfa", am.cerny_automaton(12), ["_refine_rounds"]),
+            ("syn-dfa", nth_random_automaton(SplitMix64(2021), 16, 3, 1), ["_refine_live"]),
+            ("syn-dfa", am.build_group_automaton(catalog.alternating(12), t(1, 1, *range(2, 12))), ["_refine_rounds"]),
+            ("cardinality", am.build_group_automaton(catalog.dihedral(13), t(1, 1, *range(2, 13))), ["_refine_live"]),
+        ],
+        ids=["below", "one-label", "cerny-12", "random-16", "far-A12", "cardinality-D13"],
+    )
+    def test_moore_refine_leaves_init_labels_unchanged(self, table, A, route, monkeypatch):
+        # a bool init_labels is the hashed start's label, a view of it, and
+        # _refine_rounds refines its labels in place
+        if table == "syn-dfa":
+            trans, init = TestHashedStart.syn_dfa_table(A)
+        elif table == "cardinality":
+            trans, init = self.cardinality_table(A)
+        else:
+            trans = np.random.default_rng(5).integers(0, 4096, (4096, 2)).astype(np.int32)
+            init = np.zeros(len(trans), bool)
+        given = init.copy()
+        called = spy_on_refinement(monkeypatch)
+        _kernels.moore_refine(trans, init)
+        assert [name for name, _, _ in called] == route
+        assert init.dtype == given.dtype and np.array_equal(init, given)
+
     def test_start_and_paths_past_16_bits(self):
         # more than 2^16 rows: the preimage CSR orders targets of 17 bits
         rows = (1 << 16) + 4_000
@@ -1043,12 +1084,12 @@ class TestRefinementPaths:
         trans = rng.integers(0, rows, (rows, 2)).astype(np.int32)
         trans[::3, 0] &= 0xFFFF  # targets below 2^16 beside larger ones of the same low digit
         init = rng.integers(0, 3, rows)
-        _, _, pre, off = _kernels._initial_partition(trans, init)
+        _, pre, off = _kernels._initial_partition(trans, init.astype(np.int32))
         for target, pre_l, off_l in zip(trans.T, pre, off):
             assert pre_l.dtype == off_l.dtype == np.int32
             assert pre_l.tolist() == np.argsort(target, kind="stable").tolist()
             assert off_l.tolist() == [0] + np.cumsum(np.bincount(target, minlength=rows)).tolist()
-        labels = _kernels._refine_rounds(trans, init)
+        labels = refine_rounds(trans, init)
         assert partition(labels) == partition(_kernels._refine_loop(trans, init))
 
     # The Cerny tables queue no untouched remainder, so every round after
@@ -1091,7 +1132,7 @@ class TestRefinementPaths:
         monkeypatch.setattr(_kernels, "_split", spy)
         want = partition(moore_oracle(merged, init))
         rounds, loop, dispatched = (
-            refine(merged, init) for refine in (_kernels._refine_rounds, _kernels._refine_loop, _kernels.moore_refine)
+            refine(merged, init) for refine in (refine_rounds, _kernels._refine_loop, _kernels.moore_refine)
         )
         assert partition(rounds) == partition(loop) == partition(dispatched) == want
         assert any(queued) == queues_remainders
@@ -1134,20 +1175,20 @@ class TestHashedStart:
         assert len(trans) >= _kernels.ROUNDS_MIN_ROWS
         want = partition(moore_oracle(trans, init))
         monkeypatch.setattr(_kernels, "_hash_round", lambda trans, label, h, out, step: out.fill(0))
-        key, _ = _kernels._hashed_start(trans, init)
+        key, _, label = _kernels._hashed_start(trans, init)
         assert key.dtype == np.uint64 and partition(key) == partition(init)
-        assert partition(_kernels._refine_rounds(trans, key)) == want
+        assert partition(refine_rounds(trans, key)) == want
         assert partition(refine_live_from(trans, key)) == want
         assert partition(_kernels.moore_refine(trans, init)) == want
         # the same start as if it had run to its round cap: most states are
         # live, and _refine_rounds starts from its compact labels
         cap = len(trans).bit_length()
-        monkeypatch.setattr(_kernels, "_hashed_start", lambda trans, init: (key, cap))
+        monkeypatch.setattr(_kernels, "_hashed_start", lambda trans, init: (key, cap, label))
         called = spy_on_refinement(monkeypatch)
         assert partition(_kernels.moore_refine(trans, init)) == want
         [(name, args, kwargs)] = called
-        assert name == "_refine_rounds" and kwargs == {"compact": True}
-        assert args[1].dtype == np.int32 and partition(args[1]) == partition(init)
+        assert name == "_refine_rounds" and not kwargs
+        assert is_compact_int32(args[1]) and partition(args[1]) == partition(init)
 
     # Cerny 3-12 and the eight random n = 16 automata of the benchmark
     @pytest.mark.parametrize(
@@ -1158,7 +1199,7 @@ class TestHashedStart:
     )
     def test_constant_on_every_oracle_class(self, A):
         trans, init = self.syn_dfa_table(A)
-        key, _ = _kernels._hashed_start(trans, init)
+        key = _kernels._hashed_start(trans, init)[0]
         assert self.refines(moore_oracle(trans, init), key) and self.refines(key, init)
 
     @pytest.mark.parametrize(
@@ -1178,18 +1219,19 @@ class TestHashedStart:
         # up to the round cap but ends far from the final partition, with
         # most states live: _refine_rounds starts from the compact start.
         trans, init = self.syn_dfa_table(A)
-        key, rounds = _kernels._hashed_start(trans, init)
+        key, rounds, _ = _kernels._hashed_start(trans, init)
         called = spy_on_refinement(monkeypatch)
         labels = _kernels.moore_refine(trans, init)
         [(name, args, kwargs)] = called
         assert (rounds > 2) == (route != "init")
         if route == "init":
-            assert name == "_refine_rounds" and not kwargs and args[1].dtype == bool and (args[1] == init).all()
+            assert name == "_refine_rounds" and not kwargs
+            assert is_compact_int32(args[1]) and (args[1] == init).all()
         elif route == "live":
             assert name == "_refine_live" and 2 * len(args[2]) < len(trans)
         else:
-            assert name == "_refine_rounds" and kwargs == {"compact": True}
-            assert args[1].dtype == np.int32 and partition(args[1]) == partition(key)
+            assert name == "_refine_rounds" and not kwargs
+            assert is_compact_int32(args[1]) and partition(args[1]) == partition(key)
         assert partition(labels) == partition(moore_oracle(trans, init))
 
 
