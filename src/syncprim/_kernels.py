@@ -565,19 +565,19 @@ def _refine_rounds(trans: np.ndarray, block: np.ndarray) -> np.ndarray:
 
     block: (S,) compact int32 labels 0..k-1, such as moore_refine makes of
     init_labels or of the hashed start, refined in place.  The partition is
-    block, one label per state, and size, one entry per block id.  Each round takes every worklist block as a splitter, with
-    its states fixed at the round start.  Letter by letter, it gathers the
-    preimages of all splitter states through the CSR arrays, keys each
-    preimage by (its current block, the splitter its successor lies in),
-    and sorts the keys once.  Every touched block then splits into its key
-    groups plus the untouched remainder: states with successors in
-    different splitters, or in a splitter and outside all of them, are
-    inequivalent.  The remainder keeps the block id; when nothing is
-    untouched, the first group keeps it.  A block still on the worklist
-    pushes all its new parts; any other block pushes all parts but a
-    largest one, by the same argument as in _refine_loop.  Preimages in
-    singleton blocks are dropped, and the rounds stop when the worklist is
-    empty or every block is a singleton.
+    block, one label per state, and size, one entry per block id.  Each
+    round takes every worklist block as a splitter, with its states fixed at
+    the round start.  Letter by letter, it gathers the preimages of all
+    splitter states through the CSR arrays, keys each preimage by (its
+    current block, the splitter its successor lies in), and sorts the keys
+    once.  Every touched block then splits into its key groups plus the
+    untouched remainder: states with successors in different splitters, or
+    in a splitter and outside all of them, are inequivalent.  The remainder
+    keeps the block id; when nothing is untouched, the first group keeps it.
+    A block still on the worklist pushes all its new parts; any other block
+    pushes all parts but a largest one, by the same argument as in
+    _refine_loop.  Preimages in singleton blocks are dropped, and the rounds
+    stop when the worklist is empty or every block is a singleton.
 
     A round's splitter states are the states the previous round's splits
     touched, each once, of those whose block is on the worklist: every
