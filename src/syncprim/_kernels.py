@@ -38,6 +38,12 @@ measured no faster, the hashed rounds' sort of 32-bit hashes, which
 counts their classes, one sort of the keys of a start that went past
 its second round, the live rounds' lexsort of the states still in shared
 blocks, and a batch's first-occurrence positions.
+Every integer array the kernels return is int32: the image table's and
+the walk's masks lie below 2^n <= 2^SUBSET_CAP (automaton.SUBSET_CAP),
+the successor indices and the refinement's labels below the row count,
+at most 2^n.  The int64 left inside them is arithmetic: the Hopcroft
+rounds' sort key (block * S + splitter) and the cumulative sums of
+_ranges and _split.
 benchmarks/bench_kernels.py times the kernels, both walk forms, the
 hashed start and every refinement path.
 """
@@ -87,8 +93,8 @@ def subset_reach(letters, n):
     """BFS over subset bitmasks from the full set.
 
     letters: (L, n) int array of point images.
-    Returns (states, trans): masks in BFS order (full set first) as int64,
-    and the (S, L) int32 per-state per-letter successor indices.  Tables of
+    Returns (states, trans): masks in BFS order (full set first) and the
+    (S, L) per-state per-letter successor indices.  Tables of
     BATCHED_MIN_MASKS masks or more go to _reach_batched, smaller ones to
     _reach_loop; both give the same arrays.
     """
@@ -143,7 +149,7 @@ def _reach_loop(letters, n):
                 t = index[m] = len(states)
                 states.append(m)
             trans.append(t)
-    return np.array(states, np.int64), np.array(trans, np.int32).reshape(-1, L)
+    return np.array(states, np.int32), np.array(trans, np.int32).reshape(-1, L)
 
 
 def _stable_order(keys: np.ndarray, bits: int) -> np.ndarray:
@@ -176,7 +182,7 @@ def _reach_batched(letters, n):
     img_t = image_table(letters, n).T  # (2^n, L): gathering a batch is one take
     full = (1 << n) - 1
     index = np.full(1 << n, -1, np.int32)
-    states = np.empty(1 << n, np.int64)
+    states = np.empty(1 << n, np.int32)
     trans = np.empty((1 << n, L), np.int32)
     index[full] = 0
     states[0] = full
@@ -294,7 +300,7 @@ def moore_refine(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
         return _refine_loop(trans, init_labels)
     init_labels = np.asarray(init_labels)
     if (init_labels == init_labels[0]).all():
-        return np.zeros(len(init_labels), np.int64)
+        return np.zeros(len(init_labels), np.int32)
     key, rounds, label = _hashed_start(trans, init_labels)
     # the keys take 8 bytes a state and the start's labels up to 4: neither
     # is kept through the refinement
@@ -410,7 +416,7 @@ def _refine_live(trans: np.ndarray, label: np.ndarray, live: np.ndarray, count: 
     From a start between init_labels and the coarsest stable partition that
     refines them, such as _hashed_start's, Moore's fixpoint is that
     partition: each round splits only states that some word separates, and
-    the last splits nothing.  Returns the labels, compact, as int64.
+    the last splits nothing.  Returns label, refined in place.
     """
     while len(live):
         own = label[live]
@@ -429,7 +435,7 @@ def _refine_live(trans: np.ndarray, label: np.ndarray, live: np.ndarray, count: 
         label[live[is_new.repeat(size)]] = np.arange(count, count + n_new, dtype=np.int32).repeat(size[is_new])
         count += n_new
         live = live[(size > 1).repeat(size)]
-    return label.astype(np.int64)
+    return label
 
 
 def _initial_partition(trans, labels):
@@ -481,7 +487,7 @@ def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
     init = np.asarray(init_labels).tolist()
     S = len(init)
     if S == 0:
-        return np.zeros(0, np.int64)
+        return np.zeros(0, np.int32)
     compact = {x: b for b, x in enumerate(sorted(set(init)))}
     sidx = [compact[x] for x in init]
     k = len(compact)
@@ -548,7 +554,7 @@ def _refine_loop(trans: np.ndarray, init_labels: np.ndarray) -> np.ndarray:
             touched.clear()
             if count == S:
                 break
-    return np.array(sidx, np.int64)
+    return np.array(sidx, np.int32)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -564,11 +570,11 @@ def _refine_rounds(trans: np.ndarray, block: np.ndarray) -> np.ndarray:
     for large tables.
 
     block: (S,) compact int32 labels 0..k-1, such as moore_refine makes of
-    init_labels or of the hashed start, refined in place.  The partition is
-    block, one label per state, and size, one entry per block id.  Each
-    round takes every worklist block as a splitter, with its states fixed at
-    the round start.  Letter by letter, it gathers the preimages of all
-    splitter states through the CSR arrays, keys each preimage by (its
+    init_labels or of the hashed start, refined in place and returned.  The
+    partition is block, one label per state, and size, one entry per block
+    id.  Each round takes every worklist block as a splitter, with its states
+    fixed at the round start.  Letter by letter, it gathers the preimages of
+    all splitter states through the CSR arrays, keys each preimage by (its
     current block, the splitter its successor lies in), and sorts the keys
     once.  Every touched block then splits into its key groups plus the
     untouched remainder: states with successors in different splitters, or
@@ -590,7 +596,7 @@ def _refine_rounds(trans: np.ndarray, block: np.ndarray) -> np.ndarray:
     size, pre, off = _initial_partition(trans, block)
     S = len(block)
     if S == 0:
-        return block.astype(np.int64)
+        return block
     count = int(block.max()) + 1
     on_work = size > 0
     on_work[np.argmax(size)] = False
@@ -629,7 +635,7 @@ def _refine_rounds(trans: np.ndarray, block: np.ndarray) -> np.ndarray:
             count = split
             if count == S:
                 break
-    return block.astype(np.int64)
+    return block
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

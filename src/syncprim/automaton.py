@@ -90,8 +90,8 @@ def _start_power_set(A: SemiAutomaton):
 
 def build_subset_automaton(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray]:
     """The reachable part of the power automaton, as subset_reach gives it:
-    the masks in BFS order, full set first, as int64, and the (S, L) int32
-    successor indices.  Subject to the power-set cap."""
+    the masks in BFS order, full set first, and the (S, L) successor
+    indices.  Subject to the power-set cap."""
     _start_power_set(A)
     return subset_reach(A.letter_array(), A.degree)
 

@@ -83,7 +83,7 @@ def subset_reach_oracle(letters, n):
     size = 1 << n
     full = size - 1
     index = np.full(size, -1, np.int32)
-    states = np.empty(size, np.int64)
+    states = np.empty(size, np.int32)
     trans = np.empty((size, L), np.int32)
     states[0] = full
     index[full] = 0
@@ -386,6 +386,12 @@ class TestSubsetAutomaton:
     def test_degree_cap(self):
         with pytest.raises(am.DegreeCapError):
             am.build_subset_automaton(SemiAutomaton(30, (perm.identity(30),)))
+
+    def test_int32_holds_the_cap(self):
+        # the kernels return int32 masks, below 2^SUBSET_CAP, and int32
+        # indices and labels, below the row count, at most 2^SUBSET_CAP
+        top = np.iinfo(np.int32).max
+        assert (1 << am.SUBSET_CAP) - 1 <= top and 2**am.SUBSET_CAP <= top
 
 
 @st.composite
@@ -906,7 +912,7 @@ class TestRefinementPaths:
         trans = np.asarray(trans, dtype=np.int32)
         init = np.asarray(init, dtype=np.int64)
         labels = refine(trans, init)
-        assert labels.shape == init.shape and labels.dtype == np.int64
+        assert labels.shape == init.shape and labels.dtype == np.int32
         assert sorted(set(labels.tolist())) == list(range(int(labels.max()) + 1))
         assert partition(labels) == partition(moore_oracle(trans, init))
         return labels
@@ -984,7 +990,7 @@ class TestRefinementPaths:
     def test_input_forms(self, refine, trans, init, want):
         init = np.array(init)
         labels = refine(trans, init)
-        assert labels.dtype == np.int64 and labels.shape == (len(init),)
+        assert labels.dtype == np.int32 and labels.shape == (len(init),)
         assert partition(labels) == want == partition(moore_oracle(trans, init))
         assert sorted(set(labels.tolist())) == list(range(len(want)))
 
@@ -1047,7 +1053,7 @@ class TestRefinementPaths:
         called = spy_on_refinement(monkeypatch)
         labels = _kernels.moore_refine(trans, init)
         assert [name for name, _, _ in called] == (["_refine_loop"] if offset < 0 else [])
-        assert labels.dtype == np.int64 and labels.tolist() == [0] * rows
+        assert labels.dtype == np.int32 and labels.tolist() == [0] * rows
 
     @pytest.mark.parametrize(
         "table, A, route",
@@ -1063,7 +1069,8 @@ class TestRefinementPaths:
     )
     def test_moore_refine_leaves_init_labels_unchanged(self, table, A, route, monkeypatch):
         # a bool init_labels is the hashed start's label, a view of it, and
-        # _refine_rounds refines its labels in place
+        # _refine_rounds and _refine_live refine their labels in place and
+        # return them: the labels must be a compact int32 array of their own
         if table == "syn-dfa":
             trans, init = TestHashedStart.syn_dfa_table(A)
         elif table == "cardinality":
@@ -1073,9 +1080,10 @@ class TestRefinementPaths:
             init = np.zeros(len(trans), bool)
         given = init.copy()
         called = spy_on_refinement(monkeypatch)
-        _kernels.moore_refine(trans, init)
+        labels = _kernels.moore_refine(trans, init)
         assert [name for name, _, _ in called] == route
         assert init.dtype == given.dtype and np.array_equal(init, given)
+        assert is_compact_int32(labels) and not np.shares_memory(labels, init)
 
     def test_start_and_paths_past_16_bits(self):
         # more than 2^16 rows: the preimage CSR orders targets of 17 bits
@@ -1280,7 +1288,7 @@ class TestRefineLive:
         starts += [self.colliding_key(final, init, merged) for merged in (1, 2, 7)]
         for key in starts:
             labels = refine_live_from(trans, key)
-            assert labels.dtype == np.int64 and partition(labels) == want
+            assert labels.dtype == np.int32 and partition(labels) == want
             assert sorted(set(labels.tolist())) == list(range(len(want)))
 
 
