@@ -1,12 +1,12 @@
 """Benchmark the hot kernels on two automata: the Černý automaton and
 the first random 3-letter automaton SplitMix64(2021) draws at n = 16.
 On each, the power-set walk (subset_reach) runs as dispatched and in
-both of its forms.  Two rows time the reset word: `syn-dfa`'s two calls,
-minimal_syn_dfa and then shortest_reset_word, which reads its word off the
-walk the first call made, and shortest_reset_word alone, which walks on
-its own.  Their
-Syn-DFA tables, and condition 5's table of D13 plus the map 1 1 2 ...
-(every nonempty subset, labelled by its size), are refined by
+both of its forms.  Three rows time `syn-dfa`'s calls: both of them,
+minimal_syn_dfa and then shortest_reset_word, which takes the word the
+first call read off its walk; shortest_reset_word alone, which walks on
+its own; and minimal_syn_dfa alone, its walk, refinement and read-off of
+the word.  Their Syn-DFA tables, and condition 5's table of D13 plus the
+map 1 1 2 ... (every nonempty subset, labelled by its size), are refined by
 moore_refine and by its parts: the hashed Moore rounds (_hashed_start)
 alone, _refine_rounds from their partition and from the initial labels,
 _refine_loop, and the rounds path's start (_initial_partition: the block
@@ -185,6 +185,7 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
             rows.append((label, lambda walk=walk, B_letters=B_letters, n=n: walk(B_letters, n)))
         rows.append((f"syn-dfa calls, {name}", lambda B=B: (minimal_syn_dfa(B), shortest_reset_word(B))))
         rows.append((f"shortest_reset_word alone, {name}", lambda B=B: shortest_reset_word(B)))
+        rows.append((f"minimal_syn_dfa alone, {name}", lambda B=B: minimal_syn_dfa(B)))
         refinement_rows(f"{name} Syn-DFA", *refined_table(minimal_syn_dfa, B), live=B is R)
     D13 = group_plus_112(catalog.dihedral, 13)
     condition_5 = refined_table(am.different_cardinality_reachable_witness, D13)

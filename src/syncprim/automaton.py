@@ -62,37 +62,25 @@ def build_group_automaton(G: GroupSpec, f: Transformation) -> SemiAutomaton:
     return SemiAutomaton(G.degree, G.generators + (f,))
 
 
-# The last power-set walk minimal_syn_dfa made, as (A, states, trans), for
-# the shortest_reset_word call that follows it on an equal automaton, as in
-# `syncprim syn-dfa`.  shortest_reset_word takes it, so a walk is read at
-# most once.
-_last_walk = None
+# The reset word minimal_syn_dfa read off its walk, as (A, word), for the
+# shortest_reset_word call that follows it on an equal automaton, as in
+# `syncprim syn-dfa`.  shortest_reset_word takes it, so a word is handed
+# out at most once; the walk itself dies with the minimal_syn_dfa call.
+_last_word = None
 
 
-def drop_walk() -> None:
-    """Free the walk kept in _last_walk: for every construction on the power
-    set before it starts, and for a caller of minimal_syn_dfa that reads
-    only the state count."""
-    global _last_walk
-    _last_walk = None
-
-
-def _start_power_set(A: SemiAutomaton):
-    """The start of every construction on the power set of A: it raises past
-    the power-set cap, and it drops the walk in _last_walk, so that no
-    construction runs beside a walk that nothing will read."""
+def _check_cap(A: SemiAutomaton) -> None:
     if A.degree > SUBSET_CAP:
         raise DegreeCapError(
             f"degree {A.degree} exceeds power-set cap {SUBSET_CAP}"
         )
-    drop_walk()
 
 
 def build_subset_automaton(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray]:
     """The reachable part of the power automaton, as subset_reach gives it:
     the masks in BFS order, full set first, and the (S, L) successor
     indices.  Subject to the power-set cap."""
-    _start_power_set(A)
+    _check_cap(A)
     return subset_reach(A.letter_array(), A.degree)
 
 
@@ -110,17 +98,23 @@ def shortest_reset_word(A: SemiAutomaton) -> Optional[list[int]]:
     """A minimum-length synchronizing word, lexicographically smallest
     among the minimal ones; None when the automaton is not synchronizing.
 
-    Read off the power-set walk: the one minimal_syn_dfa made, when it was
-    the last power-set construction and on an equal automaton, else a walk
-    of its own."""
-    walk = _last_walk
-    _start_power_set(A)
-    if walk is not None and walk[0] == A:
-        states, trans = walk[1:]
-    else:
-        del walk  # another automaton's walk: freed before this one is made
-        states, trans = subset_reach(A.letter_array(), A.degree)
-    return reset_word_bfs(states, trans)
+    The word the last minimal_syn_dfa call read off its walk, when that
+    call was on an equal automaton and no shortest_reset_word call has
+    taken the word since; else read off a walk of its own."""
+    global _last_word
+    kept, _last_word = _last_word, None
+    if kept is not None and kept[0] == A:
+        return kept[1]
+    return reset_word_bfs(*build_subset_automaton(A))
+
+
+def _syn_dfa(A: SemiAutomaton) -> tuple[DfaSummary, np.ndarray, np.ndarray]:
+    """minimal_syn_dfa's summary, with the walk it refined: the states and
+    transitions of build_subset_automaton."""
+    states, trans = build_subset_automaton(A)
+    single = (states & (states - 1)) == 0
+    labels = moore_refine(trans, single)
+    return DfaSummary(int(labels.max()) + 1, int(single.any())), states, trans
 
 
 def minimal_syn_dfa(A: SemiAutomaton) -> DfaSummary:
@@ -131,15 +125,13 @@ def minimal_syn_dfa(A: SemiAutomaton) -> DfaSummary:
     singletons, so the reachable singletons stay one class: the one
     accepting state of the 2^n - n bound, with no table merged.  When the
     language is empty every state is equivalent and the count is 1 (the
-    dead sink).  The walk stays in _last_walk for shortest_reset_word.
+    dead sink).  The reset word is read off the same walk and kept in
+    _last_word for shortest_reset_word; no array of the walk is kept.
     """
-    global _last_walk
-    _start_power_set(A)
-    states, trans = subset_reach(A.letter_array(), A.degree)
-    _last_walk = A, states, trans
-    single = (states & (states - 1)) == 0
-    labels = moore_refine(trans, single)
-    return DfaSummary(int(labels.max()) + 1, int(single.any()))
+    global _last_word
+    summary, states, trans = _syn_dfa(A)
+    _last_word = A, reset_word_bfs(states, trans)
+    return summary
 
 
 def _nonempty_subset_trans(A: SemiAutomaton) -> np.ndarray:
@@ -246,7 +238,7 @@ def _first_inseparable(
     """Refine the table of all nonempty subsets from initial(sizes), labels
     computed from the subset sizes, and return _first_repeat over the
     subsets of size >= 2.  Subject to the power-set cap."""
-    _start_power_set(A)
+    _check_cap(A)
     masks = np.arange(1, 1 << A.degree)
     sizes = _popcounts(A.degree)[1:]
     labels = moore_refine(_nonempty_subset_trans(A), initial(sizes))

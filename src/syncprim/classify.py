@@ -260,8 +260,7 @@ def _sync_maximal_check(G: GroupSpec) -> Check:
     target = (1 << G.degree) - G.degree
 
     def check(f):
-        count = am.minimal_syn_dfa(am.build_group_automaton(G, f)).state_count
-        am.drop_walk()  # no reset word is read off it
+        count = am._syn_dfa(am.build_group_automaton(G, f))[0].state_count
         return count == target, None if count == target else {"state_count": count}
 
     return check

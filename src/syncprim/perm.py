@@ -115,11 +115,7 @@ def enumerate_rank_n_minus_1(n: int) -> Iterator[Transformation]:
 
     Count is C(n,2) * n!.  Empty for n < 2.
     """
-    if n < 2:
-        return
-    for image in product(range(n), repeat=n):
-        if len(set(image)) == n - 1:
-            yield Transformation(image)
+    return enumerate_maps_of_rank(n, n - 1)
 
 
 def enumerate_idempotents_rank_n_minus_1(n: int) -> Iterator[Transformation]:

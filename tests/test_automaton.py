@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -424,7 +425,7 @@ class TestPowerSetWalk:
         assert_same_arrays(_kernels.subset_reach(letters, n), subset_reach_oracle(letters, n))
         word = reset_word_oracle(letters, n)
         assert am.shortest_reset_word(A) == word
-        am.minimal_syn_dfa(A)  # the word read off the walk minimal_syn_dfa leaves
+        am.minimal_syn_dfa(A)  # the word minimal_syn_dfa read off its walk
         assert am.shortest_reset_word(A) == word
         if n >= 3:
             # condition 4's table, read off the image table and refined from
@@ -540,14 +541,14 @@ class TestWalkForms:
 
 
 class TestOneWalk:
-    """shortest_reset_word reads its word off the walk minimal_syn_dfa made
-    on an equal automaton, once, when no other power-set construction came
-    between; any other call walks on its own."""
+    """minimal_syn_dfa reads the reset word off its own walk and keeps only
+    the word; the shortest_reset_word call that follows on an equal
+    automaton takes it, once, and any other call walks on its own."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
         # the degree of every walk subset_reach makes, from an empty slot
-        monkeypatch.setattr(am, "_last_walk", None)
+        monkeypatch.setattr(am, "_last_word", None)
         degrees = []
 
         def spy(letters, n, walk=am.subset_reach):
@@ -559,10 +560,12 @@ class TestOneWalk:
 
     def test_syn_dfa_calls_walk_once(self, walks):
         A = am.cerny_automaton(6)
+        word = reset_word_oracle(A.letter_array(), 6)
         assert am.minimal_syn_dfa(A).state_count == 2 ** 6 - 6
-        # an equal automaton, not the same object, finds the walk
-        assert am.shortest_reset_word(am.cerny_automaton(6)) == reset_word_oracle(A.letter_array(), 6)
-        assert walks == [6] and am._last_walk is None
+        assert am._last_word == (A, word)
+        # an equal automaton, not the same object, finds the word
+        assert am.shortest_reset_word(am.cerny_automaton(6)) == word
+        assert walks == [6] and am._last_word is None
 
     def test_syn_dfa_command_walks_once(self, walks, capsys, tmp_path):
         A = am.cerny_automaton(7)
@@ -571,7 +574,7 @@ class TestOneWalk:
         assert cli.main(["syn-dfa", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["reset_word"] == am.word_to_str(reset_word_oracle(A.letter_array(), 7))
-        assert walks == [7] and am._last_walk is None
+        assert walks == [7] and am._last_word is None
 
     def test_another_automaton_of_the_same_degree_walks_its_own(self, walks):
         A = am.cerny_automaton(6)
@@ -579,29 +582,29 @@ class TestOneWalk:
         am.minimal_syn_dfa(A)
         word = am.shortest_reset_word(B)
         assert word == reset_word_oracle(B.letter_array(), 6) != reset_word_oracle(A.letter_array(), 6)
-        assert walks == [6, 6] and am._last_walk is None
+        assert walks == [6, 6] and am._last_word is None
 
-    def test_a_walk_is_read_once(self, walks):
+    def test_a_word_is_handed_out_once(self, walks):
         A = am.cerny_automaton(6)
         am.minimal_syn_dfa(A)
         word = am.shortest_reset_word(A)
         assert am.shortest_reset_word(A) == word == reset_word_oracle(A.letter_array(), 6)
         assert walks == [6, 6]
 
-    def test_another_power_set_construction_drops_the_walk(self, walks):
-        # condition 4 refines all nonempty subsets beside no unread walk
+    def test_a_construction_in_between_costs_no_second_walk(self, walks):
+        # condition 4 refines all nonempty subsets between the two calls;
+        # the slot holds a word, no array of the power set
         A = am.cerny_automaton(6)
         am.minimal_syn_dfa(A)
         am.all_nonsingleton_distinguishable_witness(A)
-        assert am._last_walk is None
         assert am.shortest_reset_word(A) == reset_word_oracle(A.letter_array(), 6)
-        assert walks == [6, 6]
+        assert walks == [6] and am._last_word is None
 
     def test_not_synchronizing_through_the_walk(self, walks):
         A = nth_random_automaton(SplitMix64(2021), 16, 3, 6)  # random_16_5 of RANDOM_16_WALKS
         am.minimal_syn_dfa(A)
         assert am.shortest_reset_word(A) is None
-        assert walks == [16]
+        assert walks == [16] and am._last_word is None
 
     def test_degree_cap(self, walks):
         A = SemiAutomaton(25, (perm.identity(25),))
@@ -609,6 +612,27 @@ class TestOneWalk:
             with pytest.raises(am.DegreeCapError):
                 func(A)
         assert walks == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: am.cerny_automaton(14), lambda: nth_random_automaton(SplitMix64(2021), 16, 3, 1)],
+        ids=["cerny_14", "random_16_0"],
+    )
+    def test_no_array_of_the_walk_outlives_the_call(self, make, monkeypatch):
+        # the walk of Cerny 14 is 192 KiB of int32 arrays; random_16_0's
+        # arrays are views of buffers of 2^16 masks
+        monkeypatch.setattr(am, "_last_word", None)
+        A = make()
+        am.minimal_syn_dfa(A)  # imports and caches of the first call
+        monkeypatch.setattr(am, "_last_word", None)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            am.minimal_syn_dfa(A)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
 
 
 class TestStableOrder:

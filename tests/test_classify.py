@@ -228,18 +228,18 @@ class TestClassify:
 
     def test_keeps_no_walk(self, monkeypatch):
         # S6 passes the sync-max scan, so its last power-set construction
-        # is a minimal_syn_dfa, whose walk nothing reads
-        monkeypatch.setattr(am, "_last_walk", None)
-        walks = []
+        # is a sync-max check, which reads no reset word and keeps none
+        monkeypatch.setattr(am, "_last_word", None)
+        calls = {"subset_reach": 0, "reset_word_bfs": 0}
+        for name in calls:
+            def spy(*args, name=name, func=getattr(am, name)):
+                calls[name] += 1
+                return func(*args)
 
-        def spy(A, minimal_syn_dfa=am.minimal_syn_dfa):
-            summary = minimal_syn_dfa(A)
-            walks.append(am._last_walk is not None)
-            return summary
-
-        monkeypatch.setattr(am, "minimal_syn_dfa", spy)
+            monkeypatch.setattr(am, name, spy)
         assert cl.classify(catalog.symmetric(6)).predicates["sync_maximal"].value is True
-        assert walks and all(walks) and am._last_walk is None
+        assert calls["subset_reach"] > 0 and calls["reset_word_bfs"] == 0
+        assert am._last_word is None
 
     def test_degree_1_vacuously_true(self):
         preds = cl.classify(gr.trivial_group(1)).predicates
