@@ -26,10 +26,12 @@ differently are each timed on their own.  _refine_rounds is also timed on
 the Syn-DFA table of the Černý automaton at n = 18 (262 143 rows, about
 290 rounds), a deep large table on which a pass over every state in each
 round would show.
-The pair table is timed on the Černý automaton, and condition 3's check
-(the 2-subset collapse table, its refinement and the witness) on S_n and
-C_n plus the idempotent 1 1 2 ... at n = 5 and 8, on C7 plus 1 1 2 ...
-and on the Černý automaton at the degree cap, 64.  moore_refine alone is
+The pair criterion (is_synchronizing_pairs: the 2-subset collapse table
+and a search back from its sink) is timed on the Černý automaton at
+--degree and at the degree cap, 64, and condition 3's check (the same
+table, its refinement and the witness) on S_n and C_n plus the
+idempotent 1 1 2 ... at n = 5 and 8, on C7 plus 1 1 2 ... and on the
+Černý automaton at the degree cap.  moore_refine alone is
 timed on the collapse tables condition 3 refines for S5 (11 rows) and C7
 (22 rows) plus 1 1 2 ..., the fixed cost per call of the per-map checks.
 The loop forms of the walk and of refinement are also timed at sizes
@@ -124,7 +126,6 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
     DEGREE_CAP, Transformation = perm.DEGREE_CAP, perm.Transformation
 
     A = cerny_automaton(degree)
-    letters = A.letter_array()
 
     def refined_table(check, B):
         # the table check refines, as moore_refine receives it
@@ -140,7 +141,10 @@ def benchmark_rows(lib, degree: int) -> list[tuple[str, object]]:
     def group_plus_112(group, n):
         return build_group_automaton(group(n), Transformation((1, 1) + tuple(range(2, n))))
 
-    rows = [("pair_merge_table, Cerny", lambda: _kernels.pair_merge_table(letters, degree))]
+    rows = [
+        (f"is_synchronizing_pairs, {name}", lambda B=B: am.is_synchronizing_pairs(B))
+        for name, B in (("Cerny", A), (f"Cerny {DEGREE_CAP}", cerny_automaton(DEGREE_CAP)))
+    ]
     pair_cases = [
         (f"{name}{n} + 1 1 2 ...", group_plus_112(group, n))
         for n in (5, 8)

@@ -1,20 +1,17 @@
-"""Hot numeric kernels: the power-set walk, reset words, the pair table
-and partition refinement, in plain Python and numpy.
+"""Hot numeric kernels: the power-set walk, reset words and partition
+refinement, in plain Python and numpy.
 
-image_table is the one place that knows how a letter acts on a subset
-bitmask: it tabulates every letter's image of every mask, so the
-breadth-first walk over the power set (subset_reach) is a table lookup
-per transition.  The walk has two forms that give the same arrays: a
-queue loop over lists for small tables, and a numpy walk that expands a
-batch of queued states (up to a BFS level) at a time for tables of
-BATCHED_MIN_MASKS masks or more.  The reset word (reset_word_bfs) is
-read off the walk's arrays, a list of letters or None: each state's
-first occurrence in the transition table names its parent and letter,
-and the walk hands out indices in that order, so one running maximum
-finds them.
-The pair table (pair_merge_table) is a backward BFS from the diagonal over the letters'
-preimage lists; it never builds the power set and returns a symmetric
-bool matrix of the mergeable state pairs.  Partition refinement
+image_table tabulates every letter's image of every subset bitmask, so
+the breadth-first walk over the power set (subset_reach) is a table
+lookup per transition; Transformation.apply_mask computes one image at a
+time, for distinguish_witness and the images of words.  The walk has two
+forms that give the same arrays: a queue loop over lists for small
+tables, and a numpy walk that expands a batch of queued states (up to a
+BFS level) at a time for tables of BATCHED_MIN_MASKS masks or more.  The
+reset word (reset_word_bfs) is read off the walk's arrays, a list of
+letters or None: each state's first occurrence in the transition table
+names its parent and letter, and the walk hands out indices in that
+order, so one running maximum finds them.  Partition refinement
 (moore_refine) has paths that give the same partition.  Small tables,
 such as the 2-subset collapse tables of condition 3 and the strong scan,
 go to Hopcroft's algorithm as a Python loop over a flat refinable
@@ -202,30 +199,6 @@ def _reach_batched(letters, n):
         rows[fresh] = index[found]
         lo, count = hi, stop
     return states[:count], trans[:count]
-
-
-def pair_merge_table(letters, n):
-    """For every state pair, whether some word merges it: an (n, n) bool
-    matrix, symmetric, with a true diagonal (the empty word merges p, p).
-
-    Backward BFS from the diagonal: a pair is mergeable when some letter
-    sends it to a mergeable pair, so each found pair (r, s) adds the pairs
-    of a letter's preimages of r and of s.
-    """
-    pre = [[[] for _ in range(n)] for _ in range(len(letters))]
-    for pre_l, row in zip(pre, np.asarray(letters).tolist()):
-        for i, x in enumerate(row):
-            pre_l[x].append(i)
-    good = [[p == q for q in range(n)] for p in range(n)]
-    queue = [(r, r) for r in range(n)]
-    for r, s in queue:  # the list grows while it is iterated: a queue
-        for pre_l in pre:
-            for p in pre_l[r]:
-                for q in pre_l[s]:
-                    if not good[p][q]:
-                        good[p][q] = good[q][p] = True
-                        queue.append((p, q))
-    return np.array(good, bool)
 
 
 # Tables with at least this many rows get the hashed start and its finish

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from . import perm
-from ._kernels import image_table, moore_refine, pair_merge_table, reset_word_bfs, subset_reach
+from ._kernels import image_table, moore_refine, reset_word_bfs, subset_reach
 from .group import GroupSpec
 from .perm import ParseError, Transformation
 
@@ -84,14 +83,25 @@ def build_subset_automaton(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray]:
     return subset_reach(A.letter_array(), A.degree)
 
 
-def is_completely_reachable(A: SemiAutomaton) -> bool:
+def first_unreachable_subset(A: SemiAutomaton) -> Optional[frozenset[int]]:
+    """The first nonempty subset, in mask order, that no word maps the full
+    set onto; None when A is completely reachable.  Subject to the
+    power-set cap."""
     states, _ = build_subset_automaton(A)
-    return len(states) == (1 << A.degree) - 1
+    unreached = np.ones(1 << A.degree, bool)
+    unreached[states] = unreached[0] = False
+    missing = int(unreached.argmax())
+    return mask_to_set(missing) if missing else None
+
+
+def is_completely_reachable(A: SemiAutomaton) -> bool:
+    return first_unreachable_subset(A) is None
 
 
 def is_synchronizing_pairs(A: SemiAutomaton) -> bool:
-    """Cerny pair criterion: every state pair can be merged by some word."""
-    return bool(pair_merge_table(A.letter_array(), A.degree).all())
+    """Cerny's pair criterion: A synchronizes when some word merges every
+    two states, that is, when every 2-subset is collapsible."""
+    return bool(_collapsible_2subsets(A).all())
 
 
 def shortest_reset_word(A: SemiAutomaton) -> Optional[list[int]]:
@@ -140,13 +150,14 @@ def _nonempty_subset_trans(A: SemiAutomaton) -> np.ndarray:
     return image_table(A.letter_array(), A.degree)[:, 1:].T - 1
 
 
-def _2subset_labels(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 2-subsets {a[i], b[i]} in lexicographic order and their
-    refinement labels in the collapse DFA: one state per 2-subset plus an
-    absorbing sink entered when an image becomes a singleton.  Never builds
-    the power set."""
+def _2subset_table(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2-subsets {a[i], b[i]} in lexicographic order and the transitions
+    of their collapse DFA: one state per 2-subset plus an absorbing sink,
+    the last state, entered when an image becomes a singleton.  Never
+    builds the power set."""
     n = A.degree
-    a, b = np.array(list(combinations(range(n), 2)), np.intp).reshape(-1, 2).T
+    points = np.arange(n)
+    a, b = np.nonzero(points[:, None] < points)
     sink = len(a)
     # index[x, y]: the state of {x, y}; the diagonal, a singleton, is the sink
     index = np.full((n, n), sink, np.int32)
@@ -155,7 +166,35 @@ def _2subset_labels(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray, np.ndarra
     trans = np.empty((sink + 1, len(letters)), np.int32)
     trans[:sink] = index[letters[:, a], letters[:, b]].T
     trans[sink] = sink
-    return a, b, moore_refine(trans, np.arange(sink + 1) == sink)[:sink]
+    return a, b, trans
+
+
+def _2subset_labels(A: SemiAutomaton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2-subsets of _2subset_table and their refinement labels in its
+    collapse DFA, with "is the sink" as the initial label."""
+    a, b, trans = _2subset_table(A)
+    return a, b, moore_refine(trans, np.arange(len(trans)) == len(a))[: len(a)]
+
+
+def _collapsible_2subsets(A: SemiAutomaton) -> np.ndarray:
+    """For every 2-subset of _2subset_table, whether some word maps it to a
+    singleton: a breadth-first search back from the sink over the collapse
+    DFA's preimages."""
+    trans = _2subset_table(A)[2]
+    sink = len(trans) - 1
+    pre = [[] for _ in range(sink + 1)]
+    for row in trans[:sink].T.tolist():
+        for s, t in enumerate(row):
+            pre[t].append(s)
+    reached = bytearray(sink + 1)
+    reached[sink] = True
+    queue = [sink]
+    for t in queue:  # the list grows while it is iterated: a queue
+        for s in pre[t]:
+            if not reached[s]:
+                reached[s] = True
+                queue.append(s)
+    return np.frombuffer(reached, bool)[:sink]
 
 
 def _first_pair(

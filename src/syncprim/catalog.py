@@ -108,12 +108,13 @@ def builtin_catalog(max_degree: int) -> list[CatalogEntry]:
 def subgroup_census_s4() -> list[CatalogEntry]:
     """All 30 subgroups of the symmetric group on 4 points.
 
-    Generated by closing every pair of elements (every subgroup of this
-    group is 2-generated) and deduplicating by element set."""
+    Generated by closing every unordered pair of elements, a no later
+    than b in element order (every subgroup of this group is 2-generated,
+    and <a, b> = <b, a>), and deduplicating by element set."""
     elements = gr.enumerate_elements(symmetric(4))
     seen: dict[frozenset, tuple[Transformation, ...]] = {}
-    for a in elements:
-        for b in elements:
+    for i, a in enumerate(elements):
+        for b in elements[i:]:
             gens = (a, b)
             closure = frozenset(gr.enumerate_elements(GroupSpec(4, gens), cap=30))
             if closure not in seen:

@@ -278,13 +278,10 @@ _PAIR_CHECKS = {
 def _condition_check(G: GroupSpec, index: int) -> Check:
     if index == 2:
         def check(f):
-            states, _ = am.build_subset_automaton(am.build_group_automaton(G, f))
-            unreached = np.ones(1 << G.degree, bool)
-            unreached[states] = False
-            missing = np.flatnonzero(unreached[1:])
-            if not len(missing):
+            missing = am.first_unreachable_subset(am.build_group_automaton(G, f))
+            if missing is None:
                 return True, None
-            return False, {"unreachable": am.mask_to_str(int(missing[0]) + 1)}
+            return False, {"unreachable": am.set_to_str(missing)}
     elif index in _PAIR_CHECKS:
         name = _PAIR_CHECKS[index]
 

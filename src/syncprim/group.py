@@ -69,41 +69,30 @@ def iter_elements(G: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP):
     the prefix they actually visit."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    ident = perm.identity(G.degree)
-    elements = [ident]
-    seen = {ident}
-    head = 0
-    yield ident
-    while head < len(elements):
-        e = elements[head]
-        head += 1
-        for g in G.generators:
-            h = perm.compose(g, e)
-            if h not in seen:
-                if len(elements) >= cap:
-                    raise GroupTooLargeError(len(elements))
-                seen.add(h)
-                elements.append(h)
-                yield h
+    yield from _closure(G, perm.identity(G.degree), perm.compose, cap)
 
 
 def enumerate_elements(G: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> list[Transformation]:
     return list(iter_elements(G, cap))
 
 
-def _closure(G: GroupSpec, start, act) -> set:
+def _closure(G: GroupSpec, start, act, cap: Optional[int] = None):
     """Everything the generators reach from start, where act(g, x) is the
-    image of x under g; in a finite group this is start's G-orbit."""
+    image of x under g; in a finite group this is start's G-orbit.  Yields
+    start, then each new image in breadth-first order, generators in
+    order; finding more than cap raises GroupTooLargeError."""
     seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
+    queue = [start]
+    yield start
+    for x in queue:  # the list grows while it is iterated: a queue
         for g in G.generators:
             y = act(g, x)
             if y not in seen:
+                if len(queue) == cap:
+                    raise GroupTooLargeError(cap)
                 seen.add(y)
-                stack.append(y)
-    return seen
+                queue.append(y)
+                yield y
 
 
 def orbit(G: GroupSpec, p: int) -> frozenset[int]:
@@ -114,7 +103,7 @@ def orbit(G: GroupSpec, p: int) -> frozenset[int]:
 
 def orbital(G: GroupSpec, a: int, b: int) -> set[tuple[int, int]]:
     """The orbit of G on ordered pairs of points through (a, b)."""
-    return _closure(G, (a, b), lambda g, pair: (g(pair[0]), g(pair[1])))
+    return set(_closure(G, (a, b), lambda g, pair: (g(pair[0]), g(pair[1]))))
 
 
 def orbits(G: GroupSpec) -> list[frozenset[int]]:
@@ -140,7 +129,7 @@ def is_k_transitive(G: GroupSpec, k: int) -> bool:
     total = 1
     for i in range(k):
         total *= n - i
-    return len(_closure(G, tuple(range(k)), lambda g, t: tuple(g(p) for p in t))) == total
+    return len(set(_closure(G, tuple(range(k)), lambda g, t: tuple(g(p) for p in t)))) == total
 
 
 def is_k_homogeneous(G: GroupSpec, k: int) -> bool:
@@ -152,7 +141,7 @@ def is_k_homogeneous(G: GroupSpec, k: int) -> bool:
 
 
 def set_orbit(G: GroupSpec, S: frozenset[int]) -> set[frozenset[int]]:
-    return _closure(G, S, Transformation.apply_set)
+    return set(_closure(G, S, Transformation.apply_set))
 
 
 def _minimal_block(G: GroupSpec, a: int, b: int) -> list[frozenset[int]]:

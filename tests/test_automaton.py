@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -364,6 +365,7 @@ class TestSubsetAutomaton:
         states, _ = am.build_subset_automaton(A)
         brute = brute_force_reachable(A)
         assert {am.mask_to_set(s) for s in states.tolist()} == brute
+        assert am.first_unreachable_subset(A) is None
 
     def test_transitions_consistent(self):
         A = am.cerny_automaton(4)
@@ -686,6 +688,15 @@ class TestCompletelyReachable:
             if not am.is_completely_reachable(am.build_group_automaton(G, f))
         ]
         assert failing
+
+    @settings(max_examples=200, deadline=None)
+    @given(automata(max_states=8))
+    def test_first_unreachable_subset_matches_brute_force(self, A):
+        # the first nonempty mask whose set the frozenset BFS misses
+        brute = brute_force_reachable(A)
+        missing = [m for m in range(1, 1 << A.degree) if am.mask_to_set(m) not in brute]
+        assert am.first_unreachable_subset(A) == (am.mask_to_set(missing[0]) if missing else None)
+        assert am.is_completely_reachable(A) == (not missing)
 
 
 class TestMinimalSynDfa:
@@ -1451,8 +1462,8 @@ class TestDistinguishWitness:
 
 
 def pair_mergeable(A, p, q):
-    """Independent oracle for one entry of _kernels.pair_merge_table: a
-    forward BFS over the pairs (x(p), x(q)) for words x, until a pair
+    """Independent oracle for one entry of automaton._collapsible_2subsets:
+    a forward BFS over the pairs (x(p), x(q)) for words x, until a pair
     merges."""
     start = (p, q)
     seen = {start}
@@ -1474,18 +1485,22 @@ class TestPairCriterionAgainstBruteForce:
     @given(automata(max_states=8))
     def test_pair_table_pair_by_pair(self, A):
         n = A.degree
-        good = _kernels.pair_merge_table(A.letter_array(), n)
-        assert (good.dtype, good.shape) == (np.dtype(bool), (n, n))
-        assert good.tolist() == [[pair_mergeable(A, p, q) for q in range(n)] for p in range(n)]
+        collapsible = am._collapsible_2subsets(A)
+        assert (collapsible.dtype, collapsible.shape) == (np.dtype(bool), (n * (n - 1) // 2,))
+        assert collapsible.tolist() == [pair_mergeable(A, p, q) for p, q in combinations(range(n), 2)]
         assert am.is_synchronizing_pairs(A) == brute_force_synchronizing(A)
 
     def test_at_the_degree_cap(self):
-        # the pair criterion has no power-set cap: it must decide at n = 64
+        # the pair criterion has no power-set cap: it must decide at n = 64,
+        # where every pair of the Cerny automaton merges and no pair of two
+        # permutations does
         n = perm.DEGREE_CAP
         assert am.is_synchronizing_pairs(am.cerny_automaton(n))
+        assert am._collapsible_2subsets(am.cerny_automaton(n)).all()
         shift = Transformation(tuple((i + 1) % n for i in range(n)))
         swap = Transformation((1, 0) + tuple(range(2, n)))
         assert not am.is_synchronizing_pairs(SemiAutomaton(n, (shift, swap)))
+        assert not am._collapsible_2subsets(SemiAutomaton(n, (shift, swap))).any()
 
     def test_small_exhaustive_families(self):
         # every 2-letter automaton on [3] built from one permutation and one map
@@ -1494,6 +1509,8 @@ class TestPairCriterionAgainstBruteForce:
         for g in perms:
             for f in maps:
                 A = SemiAutomaton(3, (g, f))
+                pairs = [pair_mergeable(A, p, q) for p, q in combinations(range(3), 2)]
+                assert am._collapsible_2subsets(A).tolist() == pairs
                 assert am.is_synchronizing_pairs(A) == brute_force_synchronizing(A)
                 assert (am.shortest_reset_word(A) is not None) == brute_force_synchronizing(A)
 

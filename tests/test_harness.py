@@ -48,6 +48,25 @@ class TestSubgroupCensus:
             orders[k] = orders.get(k, 0) + 1
         assert orders == {1: 1, 2: 9, 3: 4, 4: 7, 6: 4, 8: 3, 12: 1, 24: 1}
 
+    def test_matches_the_closure_of_all_ordered_pairs(self):
+        # the census closes each unordered pair once; the oracle closes all
+        # 576 ordered pairs, under composition with the generators until
+        # nothing new appears, and keeps the first pair per element set
+        elements = gr.enumerate_elements(catalog.symmetric(4))
+        seen = {}
+        for a in elements:
+            for b in elements:
+                closure, new = set(), {perm.identity(4)}
+                while new:
+                    closure |= new
+                    new = {perm.compose(g, x) for g in (a, b) for x in new} - closure
+                seen.setdefault(frozenset(closure), (a, b))
+        want = sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(g.image for g in kv[0])))
+        census = catalog.subgroup_census_s4()
+        assert [e.name for e in census] == [f"s4_subgroup_{i:02d}_order{len(c)}" for i, (c, _) in enumerate(want)]
+        assert [e.group.generators for e in census] == [gens for _, gens in want]
+        assert [frozenset(gr.enumerate_elements(e.group)) for e in census] == [c for c, _ in want]
+
     def test_names_deterministic(self):
         a = [e.name for e in catalog.subgroup_census_s4()]
         b = [e.name for e in catalog.subgroup_census_s4()]
